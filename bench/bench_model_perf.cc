@@ -122,41 +122,8 @@ void BM_SimulatedRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedRound)->Arg(26);
 
-// The batched/scalar kernel A/B on the same Table 1 round: the explicit
-// flag pins each benchmark to one kernel regardless of the default.
-void BM_SimulatedRoundBatched(benchmark::State& state) {
-  sim::SimulatorConfig config;
-  config.round_length_s = bench::kRoundLengthS;
-  config.seed = 1;
-  config.batched_kernel = true;
-  auto simulator = sim::RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(),
-      static_cast<int>(state.range(0)),
-      sim::RoundSimulator::IidFactory(bench::Table1Sizes()), config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator->RunRound().total_service_time_s);
-  }
-}
-BENCHMARK(BM_SimulatedRoundBatched)->Arg(26);
-
-void BM_SimulatedRoundScalar(benchmark::State& state) {
-  sim::SimulatorConfig config;
-  config.round_length_s = bench::kRoundLengthS;
-  config.seed = 1;
-  config.batched_kernel = false;
-  auto simulator = sim::RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(),
-      static_cast<int>(state.range(0)),
-      sim::RoundSimulator::IidFactory(bench::Table1Sizes()), config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator->RunRound().total_service_time_s);
-  }
-}
-BENCHMARK(BM_SimulatedRoundScalar)->Arg(26);
-
-// One O(1) alias-table zone draw on the Table 1 geometry (the batched
-// kernel's inner sampler; compare with the binary-search draw inside
-// BM_SimulatedRoundScalar's position sampling).
+// One O(1) alias-table zone draw on the Table 1 geometry (the simulated
+// round's inner position sampler).
 void BM_ZoneSampleAlias(benchmark::State& state) {
   const disk::DiskGeometry geometry = disk::QuantumViking2100();
   numeric::Rng rng(1);

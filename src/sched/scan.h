@@ -3,6 +3,11 @@
 // All requests of a round are sorted by cylinder and served in one sweep of
 // the disk arm; there are no deadlines within a round, only the round-end
 // deadline for the batch.
+//
+// The simulators and the media server execute rounds with
+// sim::SweepRound (sim/round_kernel.h); these allocating, struct-based
+// functions are its reference implementation, which
+// tests/sim/round_kernel_test.cc compares it against bit for bit.
 #ifndef ZONESTREAM_SCHED_SCAN_H_
 #define ZONESTREAM_SCHED_SCAN_H_
 

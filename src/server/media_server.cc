@@ -9,7 +9,7 @@
 #include "core/service_time_model.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "sched/scan.h"
+#include "sim/batch_kernels.h"
 
 namespace zonestream::server {
 
@@ -271,6 +271,25 @@ void MediaServer::RecordGlitch(int stream_id, double fragment_bytes) {
   }
 }
 
+void MediaServer::DiskBatch::Clear() {
+  stream_id.clear();
+  cylinder.clear();
+  zone.clear();
+  bytes.clear();
+  rate_bps.clear();
+  rotation_s.clear();
+}
+
+void MediaServer::DiskBatch::Add(int id, const disk::DiskPosition& position,
+                                 double fragment_bytes, double rotation) {
+  stream_id.push_back(id);
+  cylinder.push_back(position.cylinder);
+  zone.push_back(position.zone);
+  bytes.push_back(fragment_bytes);
+  rate_bps.push_back(position.transfer_rate_bps);
+  rotation_s.push_back(rotation);
+}
+
 void MediaServer::RunRound() {
   const int active_at_start = static_cast<int>(streams_.size());
 
@@ -318,20 +337,17 @@ void MediaServer::RunRound() {
   }
 
   // Gather this round's request batch per disk into the reused scratch
-  // (clear keeps the capacity, so steady-state rounds allocate nothing).
-  std::vector<std::vector<sched::DiskRequest>>& batches = batch_scratch_;
-  for (auto& batch : batches) batch.clear();
+  // (Clear keeps the capacity, so steady-state rounds allocate nothing).
+  // Each request draws its position, then (unless pre-drawn) its size,
+  // then its rotational latency.
+  std::vector<DiskBatch>& batches = batch_scratch_;
+  for (DiskBatch& batch : batches) batch.Clear();
   recon_scratch_.clear();
   const auto emit = [&](int disk, int stream_id, double bytes) {
     const disk::DiskPosition position = geometry_.SampleUniformPosition(&rng_);
-    sched::DiskRequest request;
-    request.stream_id = stream_id;
-    request.cylinder = position.cylinder;
-    request.zone = position.zone;
-    request.transfer_rate_bps = position.transfer_rate_bps;
-    request.bytes = bytes;
-    request.rotational_latency_s = rng_.Uniform(0.0, geometry_.rotation_time());
-    batches[static_cast<size_t>(disk)].push_back(request);
+    const double rotation_s = rng_.Uniform(0.0, geometry_.rotation_time());
+    batches[static_cast<size_t>(disk)].Add(stream_id, position, bytes,
+                                           rotation_s);
   };
   for (auto& [id, stream] : streams_) {
     if (!config_.parity) {
@@ -339,27 +355,22 @@ void MediaServer::RunRound() {
           stream.phase, round_);
       const disk::DiskPosition position =
           geometry_.SampleUniformPosition(&rng_);
-      sched::DiskRequest request;
-      request.stream_id = id;
-      request.cylinder = position.cylinder;
-      request.zone = position.zone;
-      request.transfer_rate_bps = position.transfer_rate_bps;
+      double bytes;
       if (stream.retry_bytes >= 0.0) {
         // A deadline-cut fragment awaiting re-issue: same size, fresh
         // position (no size draw, so the retry never shifts other streams'
         // draws — they happen per stream in map order either way).
-        request.bytes = stream.retry_bytes;
+        bytes = stream.retry_bytes;
         stream.retry_bytes = -1.0;
       } else {
-        request.bytes = stream.source->NextFragmentBytes(&rng_);
+        bytes = stream.source->NextFragmentBytes(&rng_);
         stream.next_fragment++;
         // A fresh fragment closes out any retried predecessor that made
         // its deadline: the retry budget is per fragment, not per stream.
         stream.retry_attempts = 0;
       }
-      request.rotational_latency_s =
-          rng_.Uniform(0.0, geometry_.rotation_time());
-      batches[disk_index].push_back(request);
+      const double rotation_s = rng_.Uniform(0.0, geometry_.rotation_time());
+      batches[disk_index].Add(id, position, bytes, rotation_s);
       stream.stats.rounds_served++;
       continue;
     }
@@ -428,7 +439,8 @@ void MediaServer::RunRound() {
   bool round_overran = false;
   int repair_reads_late = 0;
   for (int d = 0; d < config_.num_disks; ++d) {
-    std::vector<sched::DiskRequest>& batch = batches[d];
+    DiskBatch& batch = batches[d];
+    const int n = batch.size();
     fault::FaultInjector* injector = InjectorFor(d);
     double fault_delay_s = 0.0;
     int faulted_requests = 0;
@@ -437,18 +449,16 @@ void MediaServer::RunRound() {
       if (!disk_failed) {
         // Fault delays ride in the rotational-latency slot, consulted in
         // issue order (pre-SCAN-sort) as the simulators do.
-        for (size_t i = 0; i < batch.size(); ++i) {
+        for (int i = 0; i < n; ++i) {
           const fault::RequestFaultContext context{
-              static_cast<int>(i), batch[i].stream_id, batch[i].zone,
-              batch[i].cylinder};
+              i, batch.stream_id[i], batch.zone[i], batch.cylinder[i]};
           const double delay = injector->DelayFor(context);
           if (delay > 0.0) {
-            batch[i].rotational_latency_s += delay;
+            batch.rotation_s[i] += delay;
             ++faulted_requests;
             fault_delay_s += delay;
           }
-          batch[i].transfer_rate_bps *=
-              injector->RateMultiplier(batch[i].zone);
+          batch.rate_bps[i] *= injector->RateMultiplier(batch.zone[i]);
         }
       }
     }
@@ -457,18 +467,16 @@ void MediaServer::RunRound() {
       // Nothing is served: every stream scheduled on this disk glitches
       // and the retry policy decides each fragment's fate. The arm stays
       // put and the disk idles for the round.
-      for (const sched::DiskRequest& request : batch) {
+      for (int i = 0; i < n; ++i) {
         ++round_glitches;
-        RecordGlitch(request.stream_id, request.bytes);
+        RecordGlitch(batch.stream_id[i], batch.bytes[i]);
       }
       busy_fraction_[d].Add(0.0);
       ascending_[d] = !ascending_[d];
       if (config_.metrics != nullptr) {
         obs::Registry* registry = config_.metrics;
-        registry->GetCounter("server.requests")
-            ->Increment(static_cast<int64_t>(batch.size()));
-        registry->GetCounter("server.glitches")
-            ->Increment(static_cast<int64_t>(batch.size()));
+        registry->GetCounter("server.requests")->Increment(n);
+        registry->GetCounter("server.glitches")->Increment(n);
         registry->GetHistogram("server.disk.service_time_s")->Record(0.0);
         registry->GetHistogram("server.disk.utilization")->Record(0.0);
       }
@@ -476,77 +484,73 @@ void MediaServer::RunRound() {
         obs::RoundTraceEvent event;
         event.round = round_;
         event.source_id = d;
-        event.num_requests = static_cast<int>(batch.size());
-        event.glitches = static_cast<int>(batch.size());
+        event.num_requests = n;
+        event.glitches = n;
         event.disk_failed = true;
-        event.truncated_requests = static_cast<int>(batch.size());
+        event.truncated_requests = n;
         event.leftover_s = config_.round_length_s;
         event.zone_hits.assign(geometry_.num_zones(), 0);
-        for (const sched::DiskRequest& request : batch) {
-          ++event.zone_hits[request.zone];
-        }
+        for (const int zone : batch.zone) ++event.zone_hits[zone];
         config_.trace->Record(std::move(event));
       }
       continue;
     }
 
-    const sched::SweepDirection direction =
-        ascending_[d] ? sched::SweepDirection::kAscending
-                      : sched::SweepDirection::kDescending;
-    sched::SortForScan(&batch, direction);
-    const sched::RoundTiming timing =
-        sched::ExecuteScanRound(seek_, batch, arm_cylinder_[d]);
-    busy_fraction_[d].Add(
-        std::fmin(timing.total_service_time_s, config_.round_length_s) /
-        config_.round_length_s);
+    batch.transfer_s.resize(static_cast<size_t>(n));
+    sim::internal::TransferTimes(batch.bytes.data(), batch.rate_bps.data(),
+                                 batch.transfer_s.data(),
+                                 static_cast<size_t>(n));
+    sim::RoundSweep& sweep = sweep_scratch_;
+    sim::SweepRound(seek_, sim::SweepPolicy::kAlternate,
+                    sched::OrderingPolicy::kScan, arm_cylinder_[d],
+                    ascending_[d], config_.round_length_s,
+                    sim::SweepRequests{n, batch.cylinder.data(),
+                                       batch.rotation_s.data(),
+                                       batch.transfer_s.data()},
+                    &sweep);
+    const double service_time_s = sweep.total_s;
+    busy_fraction_[d].Add(std::fmin(service_time_s, config_.round_length_s) /
+                          config_.round_length_s);
 
-    int last_on_time_cylinder = arm_cylinder_[d];
+    // Classify each served request by stream id: repair reads, degraded
+    // reconstruction reads and ordinary stream reads.
     int disk_glitches = 0;       // late stream requests (trace/metrics)
     int disk_repair_reads = 0;
-    int disk_repair_late = 0;
     double repair_busy_s = 0.0;  // repair share of this disk's sweep
-    for (size_t i = 0; i < timing.per_request.size(); ++i) {
-      const sched::RequestTiming& rt = timing.per_request[i];
-      const bool late = rt.completion_s > config_.round_length_s;
-      if (rt.stream_id < 0) {
+    for (int pos = 0; pos < n; ++pos) {
+      const int i = sweep.order[pos];
+      const int stream_id = batch.stream_id[i];
+      const bool late = sweep.Late(pos);
+      if (stream_id < 0) {
         // Repair read for stripe-rebuild job (kRepairStreamIdBase - id).
-        const int job = kRepairStreamIdBase - rt.stream_id;
+        const int job = kRepairStreamIdBase - stream_id;
         ++disk_repair_reads;
-        repair_busy_s += rt.seek_s + rt.rotation_s + rt.transfer_s;
+        repair_busy_s +=
+            sweep.seek_s[pos] + batch.rotation_s[i] + batch.transfer_s[i];
         if (late) {
           repair_job_late_[static_cast<size_t>(job)] = 1;
-          ++disk_repair_late;
           ++repair_reads_late;
-        } else {
-          last_on_time_cylinder = batch[i].cylinder;
         }
         continue;
       }
       if (late) {
         ++disk_glitches;
-        const auto recon = recon_scratch_.find(rt.stream_id);
+        const auto recon = recon_scratch_.find(stream_id);
         if (recon != recon_scratch_.end()) {
           // One late reconstruction read spoils the whole fragment; the
           // ledger entry is charged once, after all sweeps.
           recon->second.late = true;
         } else {
           ++round_glitches;
-          RecordGlitch(rt.stream_id, batch[i].bytes);
+          RecordGlitch(stream_id, batch.bytes[i]);
         }
-      } else {
-        last_on_time_cylinder = batch[i].cylinder;
-        if (recon_scratch_.empty() ||
-            recon_scratch_.find(rt.stream_id) == recon_scratch_.end()) {
-          fragments_served_++;
-        }
+      } else if (recon_scratch_.empty() ||
+                 recon_scratch_.find(stream_id) == recon_scratch_.end()) {
+        fragments_served_++;
       }
     }
-    if (timing.total_service_time_s > config_.round_length_s) {
-      round_overran = true;
-    }
-    arm_cylinder_[d] = disk_glitches + disk_repair_late > 0
-                           ? last_on_time_cylinder
-                           : timing.final_arm_cylinder;
+    if (service_time_s > config_.round_length_s) round_overran = true;
+    arm_cylinder_[d] = sweep.final_arm_cylinder;
     ascending_[d] = !ascending_[d];
     if (disk_repair_reads > 0 && config_.metrics != nullptr) {
       config_.metrics->GetHistogram("server.repair.disk_time_s")
@@ -560,47 +564,43 @@ void MediaServer::RunRound() {
       double seek_sum = 0.0;
       double rotation_sum = 0.0;
       double transfer_sum = 0.0;
-      for (const sched::RequestTiming& rt : timing.per_request) {
-        seek_sum += rt.seek_s;
-        rotation_sum += rt.rotation_s;
-        transfer_sum += rt.transfer_s;
+      for (int pos = 0; pos < n; ++pos) {
+        const int i = sweep.order[pos];
+        seek_sum += sweep.seek_s[pos];
+        rotation_sum += batch.rotation_s[i];
+        transfer_sum += batch.transfer_s[i];
       }
       rotation_sum -= fault_delay_s;
       if (config_.metrics != nullptr) {
         obs::Registry* registry = config_.metrics;
-        registry->GetCounter("server.requests")
-            ->Increment(static_cast<int64_t>(batch.size()));
+        registry->GetCounter("server.requests")->Increment(n);
         registry->GetCounter("server.glitches")->Increment(disk_glitches);
-        if (timing.total_service_time_s > config_.round_length_s) {
+        if (service_time_s > config_.round_length_s) {
           registry->GetCounter("server.overruns")->Increment();
         }
         registry->GetHistogram("server.disk.service_time_s")
-            ->Record(timing.total_service_time_s);
+            ->Record(service_time_s);
         registry->GetHistogram("server.disk.utilization")
-            ->Record(
-                std::fmin(timing.total_service_time_s,
-                          config_.round_length_s) /
-                config_.round_length_s);
+            ->Record(std::fmin(service_time_s, config_.round_length_s) /
+                     config_.round_length_s);
       }
       if (config_.trace != nullptr) {
         obs::RoundTraceEvent event;
         event.round = round_;
         event.source_id = d;
-        event.num_requests = static_cast<int>(batch.size());
-        event.service_time_s = timing.total_service_time_s;
+        event.num_requests = n;
+        event.service_time_s = service_time_s;
         event.seek_s = seek_sum;
         event.rotation_s = rotation_sum;
         event.transfer_s = transfer_sum;
         event.fault_delay_s = fault_delay_s;
         event.faulted_requests = faulted_requests;
         event.glitches = disk_glitches;
-        event.overran = timing.total_service_time_s > config_.round_length_s;
-        event.leftover_s = std::fmax(
-            0.0, config_.round_length_s - timing.total_service_time_s);
+        event.overran = service_time_s > config_.round_length_s;
+        event.leftover_s =
+            std::fmax(0.0, config_.round_length_s - service_time_s);
         event.zone_hits.assign(geometry_.num_zones(), 0);
-        for (const sched::DiskRequest& request : batch) {
-          ++event.zone_hits[request.zone];
-        }
+        for (const int zone : batch.zone) ++event.zone_hits[zone];
         config_.trace->Record(std::move(event));
       }
     }

@@ -24,10 +24,10 @@
 #include "fault/fault_model.h"
 #include "numeric/random.h"
 #include "numeric/statistics.h"
-#include "sched/request.h"
 #include "server/parity_striping.h"
 #include "server/repair.h"
 #include "server/striping.h"
+#include "sim/round_kernel.h"
 #include "workload/fragment_source.h"
 #include "workload/size_distribution.h"
 
@@ -414,9 +414,25 @@ class MediaServer {
   int64_t fragments_dropped_ = 0;
   int64_t streams_shed_ = 0;
   std::vector<numeric::RunningStats> busy_fraction_;
-  // Per-disk request batches, cleared (capacity kept) and refilled each
-  // round instead of reallocated.
-  std::vector<std::vector<sched::DiskRequest>> batch_scratch_;
+  // One disk's request batch for the round: structure-of-arrays in issue
+  // order, the round kernel's input (sim/round_kernel.h).
+  struct DiskBatch {
+    std::vector<int> stream_id;
+    std::vector<int> cylinder;
+    std::vector<int> zone;
+    std::vector<double> bytes;
+    std::vector<double> rate_bps;
+    std::vector<double> rotation_s;  // rotational latency + fault delay
+    std::vector<double> transfer_s;  // filled just before the sweep
+    int size() const { return static_cast<int>(stream_id.size()); }
+    void Clear();
+    void Add(int id, const disk::DiskPosition& position,
+             double fragment_bytes, double rotation);
+  };
+  // Per-disk batches and the sweep result, cleared (capacity kept) and
+  // refilled each round instead of reallocated.
+  std::vector<DiskBatch> batch_scratch_;
+  sim::RoundSweep sweep_scratch_;
   // Per-round scratch for the degraded/repair paths (empty otherwise).
   struct ReconOutcome {
     double bytes = 0.0;

@@ -3,9 +3,10 @@
 // The validation experiments need tail probabilities down to p ~ 1e-6
 // (Table 2's deep rows); naive Monte Carlo needs >= 100/p rounds for a
 // usable confidence interval, which is ~1e8 rounds at 1e-6. This module
-// simulates the same round model as RoundSimulator's batched kernel, but
-// under an exponentially tilted measure that makes late rounds common,
-// and corrects each round with its exact likelihood ratio:
+// simulates the same round model as RoundSimulator, through the same
+// round kernel (sim/round_kernel.h), but under an exponentially tilted
+// measure that makes late rounds common, and corrects each round with its
+// exact likelihood ratio:
 //
 //   - Rotational latencies U(0, ROT) are drawn from the tilted density
 //     f_theta(x) ∝ e^{theta x} on [0, ROT] (inverse CDF via log1p).
@@ -153,7 +154,7 @@ common::StatusOr<double> AutoTiltParameter(
     int num_streams, const workload::SizeDistribution& sizes,
     double round_length_s);
 
-// Tilted mirror of RoundSimulator's batched kernel. Not thread-safe; use
+// Tilted mirror of RoundSimulator. Not thread-safe; use
 // one per thread (ReplicatedIS* below shard exactly like replication.h).
 //
 // Restrictions (InvalidArgument otherwise): Gamma fragment sizes (the
@@ -258,10 +259,7 @@ class ImportanceSampler {
     std::vector<double> unit_gamma;  // n Gamma(k, 1) draws
     std::vector<double> rotation_s;  // tilted latency + disturbance delay
     std::vector<double> transfer_time_s;
-    std::vector<int> order;
-    std::vector<uint64_t> sort_key;
-    std::vector<double> seek_dist;
-    std::vector<double> seek_time_s;
+    RoundSweep sweep;
   };
   Scratch scratch_;
 };

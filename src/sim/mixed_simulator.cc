@@ -8,7 +8,7 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "sched/scan.h"
+#include "sim/batch_kernels.h"
 
 namespace zonestream::sim {
 
@@ -33,8 +33,7 @@ MixedRoundSimulator::MixedRoundSimulator(
   scratch_.rate_bps.resize(n);
   scratch_.bytes.resize(n);
   scratch_.rotation_s.resize(n);
-  scratch_.order.resize(n);
-  scratch_.sort_key.resize(n);
+  scratch_.transfer_s.resize(n);
   scratch_.zone_hits.resize(geometry_.num_zones());
 }
 
@@ -98,7 +97,7 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
     result.max_queue_depth = std::max<int64_t>(
         result.max_queue_depth, static_cast<int64_t>(queue_.size()));
 
-    // Continuous batch: one SCAN sweep (batched or scalar kernel).
+    // Continuous batch: one SCAN sweep.
     const ContinuousSweep sweep = RunContinuousSweep();
     result.continuous_requests += num_continuous_;
     result.continuous_glitches += sweep.glitches;
@@ -203,65 +202,12 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
 }
 
 MixedRoundSimulator::ContinuousSweep MixedRoundSimulator::RunContinuousSweep() {
-  return config_.batched_kernel ? RunContinuousSweepBatched()
-                                : RunContinuousSweepScalar();
-}
-
-MixedRoundSimulator::ContinuousSweep
-MixedRoundSimulator::RunContinuousSweepScalar() {
-  std::vector<sched::DiskRequest> batch;
-  batch.reserve(num_continuous_);
-  for (int s = 0; s < num_continuous_; ++s) {
-    const disk::DiskPosition position = geometry_.SampleUniformPosition(&rng_);
-    sched::DiskRequest request;
-    request.stream_id = s;
-    request.cylinder = position.cylinder;
-    request.zone = position.zone;
-    request.transfer_rate_bps = position.transfer_rate_bps;
-    request.bytes = continuous_sizes_->Sample(&rng_);
-    request.rotational_latency_s = rng_.Uniform(0.0, geometry_.rotation_time());
-    batch.push_back(request);
-  }
-  sched::SortForScan(&batch, ascending_ ? sched::SweepDirection::kAscending
-                                        : sched::SweepDirection::kDescending);
-  const sched::RoundTiming timing =
-      sched::ExecuteScanRound(seek_, batch, arm_cylinder_);
-
-  ContinuousSweep sweep;
-  sweep.total_service_s = timing.total_service_time_s;
-  int arm = arm_cylinder_;
-  for (size_t i = 0; i < timing.per_request.size(); ++i) {
-    if (timing.per_request[i].completion_s > config_.round_length_s) {
-      ++sweep.glitches;
-    } else {
-      arm = batch[i].cylinder;
-    }
-    sweep.seek_sum += timing.per_request[i].seek_s;
-    sweep.rotation_sum += timing.per_request[i].rotation_s;
-    sweep.transfer_sum += timing.per_request[i].transfer_s;
-  }
-  if (!timing.per_request.empty() &&
-      timing.total_service_time_s <= config_.round_length_s) {
-    arm = timing.final_arm_cylinder;
-  }
-  sweep.arm_after = arm;
-  ascending_ = !ascending_;
-
-  std::fill(scratch_.zone_hits.begin(), scratch_.zone_hits.end(), 0);
-  for (const sched::DiskRequest& request : batch) {
-    ++scratch_.zone_hits[request.zone];
-  }
-  return sweep;
-}
-
-MixedRoundSimulator::ContinuousSweep
-MixedRoundSimulator::RunContinuousSweepBatched() {
   const int n = num_continuous_;
   RoundScratch& s = scratch_;
 
   // Whole-round batches: zone + cylinder uniforms (zones through the
   // geometry's alias table), then sizes, then rotational latencies — same
-  // draw structure as RoundSimulator's batched kernel.
+  // draw structure as RoundSimulator.
   rng_.FillUniform01(s.u_zone.data(), n);
   rng_.FillUniform01(s.u_cylinder.data(), n);
   for (int i = 0; i < n; ++i) {
@@ -275,54 +221,24 @@ MixedRoundSimulator::RunContinuousSweepBatched() {
   }
   continuous_sizes_->FillSamples(&rng_, s.bytes.data(), n);
   rng_.FillUniform(0.0, geometry_.rotation_time(), s.rotation_s.data(), n);
+  internal::TransferTimes(s.bytes.data(), s.rate_bps.data(),
+                          s.transfer_s.data(), static_cast<size_t>(n));
 
-  // SCAN order as one flat uint64 sort of (cylinder, index) keys (ties
-  // on the index keep issue order, matching the scalar kernel's stable
-  // sort; complemented cylinders give the descending sweep).
-  if (ascending_) {
-    for (int i = 0; i < n; ++i) {
-      s.sort_key[i] =
-          (static_cast<uint64_t>(static_cast<uint32_t>(s.cylinder[i]))
-           << 32) |
-          static_cast<uint32_t>(i);
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
-      s.sort_key[i] =
-          (static_cast<uint64_t>(~static_cast<uint32_t>(s.cylinder[i]))
-           << 32) |
-          static_cast<uint32_t>(i);
-    }
-  }
-  std::sort(s.sort_key.begin(), s.sort_key.end());
-  for (int i = 0; i < n; ++i) {
-    s.order[i] = static_cast<int>(s.sort_key[i] & 0xffffffffu);
-  }
-
-  // Fused sweep: clock accumulation, deadline checks and glitch-aware arm
-  // tracking in one pass.
+  SweepRound(seek_, SweepPolicy::kAlternate, sched::OrderingPolicy::kScan,
+             arm_cylinder_, ascending_, config_.round_length_s,
+             SweepRequests{n, s.cylinder.data(), s.rotation_s.data(),
+                           s.transfer_s.data()},
+             &s.sweep);
   ContinuousSweep sweep;
-  double clock = 0.0;
-  int arm = arm_cylinder_;
-  int glitch_arm = arm_cylinder_;
+  sweep.total_service_s = s.sweep.total_s;
+  sweep.glitches = s.sweep.late;
+  sweep.arm_after = s.sweep.final_arm_cylinder;
   for (int pos = 0; pos < n; ++pos) {
-    const int i = s.order[pos];
-    const double seek = seek_.SeekTime(std::abs(s.cylinder[i] - arm));
-    const double transfer = s.bytes[i] / s.rate_bps[i];
-    clock += seek + s.rotation_s[i] + transfer;
-    arm = s.cylinder[i];
-    sweep.seek_sum += seek;
+    const int i = s.sweep.order[pos];
+    sweep.seek_sum += s.sweep.seek_s[pos];
     sweep.rotation_sum += s.rotation_s[i];
-    sweep.transfer_sum += transfer;
-    if (clock > config_.round_length_s) {
-      ++sweep.glitches;
-    } else {
-      glitch_arm = s.cylinder[i];
-    }
+    sweep.transfer_sum += s.transfer_s[i];
   }
-  sweep.total_service_s = clock;
-  sweep.arm_after =
-      (n > 0 && clock <= config_.round_length_s) ? arm : glitch_arm;
   ascending_ = !ascending_;
 
   std::fill(s.zone_hits.begin(), s.zone_hits.end(), 0);

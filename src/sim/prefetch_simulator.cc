@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "sched/scan.h"
 
 namespace zonestream::sim {
 
@@ -55,7 +54,9 @@ PrefetchRunResult PrefetchRoundSimulator::Run(int rounds, int warmup) {
 
     // 1. Consume: streams with buffered fragments display from the buffer;
     //    the rest must be served this round.
-    std::vector<sched::DiskRequest> mandatory;
+    cylinder_.clear();
+    rotation_s_.clear();
+    transfer_s_.clear();
     for (int s = 0; s < num_streams_; ++s) {
       if (buffered_[s] > 0) {
         --buffered_[s];
@@ -63,45 +64,28 @@ PrefetchRunResult PrefetchRoundSimulator::Run(int rounds, int warmup) {
       }
       const disk::DiskPosition position =
           geometry_.SampleUniformPosition(&rng_);
-      sched::DiskRequest request;
-      request.stream_id = s;
-      request.cylinder = position.cylinder;
-      request.zone = position.zone;
-      request.transfer_rate_bps = position.transfer_rate_bps;
-      request.bytes = sizes_->Sample(&rng_);
-      request.rotational_latency_s =
-          rng_.Uniform(0.0, geometry_.rotation_time());
-      mandatory.push_back(request);
+      cylinder_.push_back(position.cylinder);
+      transfer_s_.push_back(sizes_->Sample(&rng_) /
+                            position.transfer_rate_bps);
+      rotation_s_.push_back(rng_.Uniform(0.0, geometry_.rotation_time()));
     }
-    if (counted) {
-      result.mandatory_requests += static_cast<int64_t>(mandatory.size());
-    }
+    const int mandatory = static_cast<int>(cylinder_.size());
+    if (counted) result.mandatory_requests += mandatory;
 
     // 2. Serve the mandatory batch in one SCAN sweep.
-    sched::SortForScan(&mandatory, ascending_
-                                       ? sched::SweepDirection::kAscending
-                                       : sched::SweepDirection::kDescending);
-    const sched::RoundTiming timing =
-        sched::ExecuteScanRound(seek_, mandatory, arm_cylinder_);
-    int arm = arm_cylinder_;
-    for (size_t i = 0; i < timing.per_request.size(); ++i) {
-      if (timing.per_request[i].completion_s > config_.round_length_s) {
-        if (counted) ++result.glitches;
-      } else {
-        arm = mandatory[i].cylinder;
-      }
-    }
-    if (!timing.per_request.empty() &&
-        timing.total_service_time_s <= config_.round_length_s) {
-      arm = timing.final_arm_cylinder;
-    }
+    SweepRound(seek_, SweepPolicy::kAlternate, sched::OrderingPolicy::kScan,
+               arm_cylinder_, ascending_, config_.round_length_s,
+               SweepRequests{mandatory, cylinder_.data(), rotation_s_.data(),
+                             transfer_s_.data()},
+               &sweep_);
+    if (counted) result.glitches += sweep_.late;
+    int arm = sweep_.final_arm_cylinder;
     ascending_ = !ascending_;
 
     // 3. Prefetch into the leftover time: repeatedly serve the stream with
     //    the lowest buffer level (ties by id) until the round ends or all
     //    buffers are full.
-    double clock =
-        std::fmin(timing.total_service_time_s, config_.round_length_s);
+    double clock = std::fmin(sweep_.total_s, config_.round_length_s);
     while (clock < config_.round_length_s) {
       int target = -1;
       for (int s = 0; s < num_streams_; ++s) {

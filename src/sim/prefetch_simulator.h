@@ -25,6 +25,7 @@
 #include "disk/disk_geometry.h"
 #include "disk/seek_model.h"
 #include "numeric/random.h"
+#include "sim/round_kernel.h"
 #include "workload/size_distribution.h"
 
 namespace zonestream::sim {
@@ -76,6 +77,12 @@ class PrefetchRoundSimulator {
   int arm_cylinder_ = 0;
   bool ascending_ = true;
   std::vector<int> buffered_;  // fragments buffered ahead, per stream
+  // The round's mandatory batch (structure-of-arrays in issue order) and
+  // its sweep, reused across rounds.
+  std::vector<int> cylinder_;
+  std::vector<double> rotation_s_;
+  std::vector<double> transfer_s_;
+  RoundSweep sweep_;
 };
 
 }  // namespace zonestream::sim

@@ -9,15 +9,6 @@
 // fixed, the aggregate statistics are bit-identical at every thread count
 // (see replication_test.cc), while the wall time scales with the pool.
 //
-// Determinism contract with the batched kernel: the across-thread
-// bit-identity above holds for BOTH kernels, because the kernel choice is
-// part of the per-replication sample path, not of the scheduling. For a
-// fixed SimulatorConfig::batched_kernel value, (base_seed, r) fully
-// determines every replication's draws; flipping batched_kernel changes
-// the main-stream draw order and therefore the individual sample paths,
-// but not their distribution (tests/sim/batch_kernel_test.cc pins the
-// two kernels' estimates to statistical agreement).
-//
 // Observability: any obs::Registry / obs::RoundTraceRecorder set on the
 // simulator config is shared by all replications (both are thread-safe);
 // each replication's trace events carry source_id = replication index.
@@ -54,8 +45,7 @@ common::StatusOr<ProbabilityEstimate> EstimateLateProbabilityReplicated(
 // Estimates p_glitch = P[a given stream glitches in a round] over the same
 // sharding; trials = replications * rounds * num_streams. Per-round glitch
 // events are correlated, so the CI clusters by round (see
-// RoundSimulator::EstimateGlitchProbability); the pre-fix pooled Wilson
-// interval is available via SimulatorConfig::legacy_pooled_intervals.
+// RoundSimulator::EstimateGlitchProbability).
 common::StatusOr<ProbabilityEstimate> EstimateGlitchProbabilityReplicated(
     const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
     int num_streams, const FragmentSourceFactory& source_factory,

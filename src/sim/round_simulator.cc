@@ -1,17 +1,15 @@
 #include "sim/round_simulator.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "numeric/random.h"
-#include "numeric/sort_network.h"
-#include "sim/batch_kernels.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
+#include "sim/batch_kernels.h"
 
 namespace zonestream::sim {
 
@@ -23,6 +21,19 @@ namespace {
 constexpr uint64_t kDisturbanceSubstream = 0x64697374;  // "dist"
 
 }  // namespace
+
+common::Status ValidateDisturbance(const DisturbanceConfig& disturbance) {
+  if (!(disturbance.probability >= 0.0 && disturbance.probability <= 1.0)) {
+    return common::Status::InvalidArgument(
+        "disturbance probability must be in [0, 1]");
+  }
+  if (!(disturbance.delay_min_s >= 0.0 &&
+        disturbance.delay_min_s <= disturbance.delay_max_s)) {
+    return common::Status::InvalidArgument(
+        "disturbance delays need 0 <= delay_min_s <= delay_max_s");
+  }
+  return common::Status::Ok();
+}
 
 RoundSimulator::RoundSimulator(
     const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
@@ -61,7 +72,7 @@ RoundSimulator::RoundSimulator(
   }
   // Batched size draws need every stream on one shared i.i.d.
   // distribution; anything else (per-stream families, AR(1) state) falls
-  // back to per-stream draws inside the batched kernel.
+  // back to per-stream draws.
   shared_iid_ = sources_.front()->iid_distribution();
   for (const auto& source : sources_) {
     if (source->iid_distribution() != shared_iid_) {
@@ -76,11 +87,7 @@ RoundSimulator::RoundSimulator(
   scratch_.rate_bps.resize(n);
   scratch_.bytes.resize(n);
   scratch_.rotation_s.resize(n);
-  scratch_.order.resize(n);
-  scratch_.sort_key.resize(n);
   scratch_.transfer_time_s.resize(n);
-  scratch_.seek_dist.resize(n);
-  scratch_.seek_time_s.resize(n);
   scratch_.zone_hits.resize(geometry_.num_zones());
 }
 
@@ -96,6 +103,9 @@ common::StatusOr<RoundSimulator> RoundSimulator::Create(
   }
   if (source_factory == nullptr) {
     return common::Status::InvalidArgument("source factory is null");
+  }
+  if (auto status = ValidateDisturbance(config.disturbance); !status.ok()) {
+    return status;
   }
   std::vector<std::unique_ptr<workload::FragmentSource>> sources;
   sources.reserve(num_streams);
@@ -130,162 +140,6 @@ RoundOutcome RoundSimulator::RunRound() {
   // The fault models advance at the round boundary, before any request is
   // drawn; a failed disk still draws its round (see FinishDiskFailedRound).
   if (fault_injector_ != nullptr) fault_injector_->BeginRound(num_streams_);
-  return config_.batched_kernel ? RunRoundBatched() : RunRoundScalar();
-}
-
-RoundOutcome RoundSimulator::RunRoundScalar() {
-  const bool disk_failed =
-      fault_injector_ != nullptr && fault_injector_->disk_failed();
-  const bool track_delays = config_.truncate_at_deadline;
-  if (track_delays) {
-    scratch_.dist_delay_s.assign(num_streams_, 0.0);
-    scratch_.fault_delay_s.assign(num_streams_, 0.0);
-  }
-  // Issue one request per stream at a uniform-over-capacity position.
-  std::vector<sched::DiskRequest> requests;
-  requests.reserve(num_streams_);
-  int disturbances = 0;
-  double disturbance_delay_s = 0.0;
-  double fault_delay_s = 0.0;
-  int faulted_requests = 0;
-  for (int stream = 0; stream < num_streams_; ++stream) {
-    const disk::DiskPosition position =
-        config_.position_sampler
-            ? config_.position_sampler(geometry_, &rng_)
-            : geometry_.SampleUniformPosition(&rng_);
-    sched::DiskRequest request;
-    request.stream_id = stream;
-    request.cylinder = position.cylinder;
-    request.zone = position.zone;
-    request.transfer_rate_bps = position.transfer_rate_bps;
-    request.bytes = sources_[stream]->NextFragmentBytes(&rng_);
-    request.rotational_latency_s =
-        rng_.Uniform(0.0, geometry_.rotation_time());
-    // Failure injection: sporadic extra delay, charged with the rotational
-    // latency (any additive slot in the per-request service works). Drawn
-    // from the dedicated substream so the main stream is undisturbed.
-    const DisturbanceConfig& disturbance = config_.disturbance;
-    if (disturbance.probability > 0.0 &&
-        disturbance_rng_.Uniform01() < disturbance.probability) {
-      const double delay = disturbance_rng_.Uniform(disturbance.delay_min_s,
-                                                    disturbance.delay_max_s);
-      request.rotational_latency_s += delay;
-      ++disturbances;
-      disturbance_delay_s += delay;
-      if (track_delays) scratch_.dist_delay_s[stream] = delay;
-    }
-    // Structured faults, same additive slot, consulted in issue order so
-    // both kernels consume the fault substreams identically. A failed
-    // disk serves nothing, so no per-request fault draws happen there.
-    if (fault_injector_ != nullptr && !disk_failed) {
-      const fault::RequestFaultContext context{stream, stream, request.zone,
-                                               request.cylinder};
-      const double delay = fault_injector_->DelayFor(context);
-      if (delay > 0.0) {
-        request.rotational_latency_s += delay;
-        ++faulted_requests;
-        fault_delay_s += delay;
-        if (track_delays) scratch_.fault_delay_s[stream] = delay;
-      }
-      request.transfer_rate_bps *=
-          fault_injector_->RateMultiplier(request.zone);
-    }
-    requests.push_back(request);
-  }
-  if (disk_failed) {
-    std::fill(scratch_.zone_hits.begin(), scratch_.zone_hits.end(), 0);
-    for (const sched::DiskRequest& request : requests) {
-      ++scratch_.zone_hits[request.zone];
-    }
-    return FinishDiskFailedRound();
-  }
-
-  // Arm policy. One-directional SCAN must return the arm to cylinder 0
-  // between rounds; that return sweep is disk time like any other seek, so
-  // it is charged to this round's service time (Oyang's worst-case bound
-  // also accounts a full-stroke budget). legacy_free_arm_reset preserves
-  // the old teleporting behavior for comparison.
-  double return_seek_s = 0.0;
-  sched::SweepDirection direction = sched::SweepDirection::kAscending;
-  if (config_.sweep_policy == SweepPolicy::kAlternate) {
-    direction = ascending_ ? sched::SweepDirection::kAscending
-                           : sched::SweepDirection::kDescending;
-  } else {
-    if (!config_.legacy_free_arm_reset && arm_cylinder_ != 0) {
-      return_seek_s = seek_.SeekTime(arm_cylinder_);
-    }
-    arm_cylinder_ = 0;
-  }
-  sched::OrderRequests(&requests, config_.ordering, arm_cylinder_, direction);
-  const sched::RoundTiming timing =
-      sched::ExecuteScanRound(seek_, requests, arm_cylinder_);
-
-  RoundOutcome outcome;
-  outcome.total_service_time_s =
-      return_seek_s + timing.total_service_time_s;
-  outcome.overran = outcome.total_service_time_s > config_.round_length_s;
-  int last_on_time_cylinder = arm_cylinder_;
-  for (size_t i = 0; i < timing.per_request.size(); ++i) {
-    if (return_seek_s + timing.per_request[i].completion_s >
-        config_.round_length_s) {
-      outcome.glitched_streams.push_back(timing.per_request[i].stream_id);
-    } else {
-      last_on_time_cylinder = requests[i].cylinder;
-    }
-  }
-  // Unfinished transfers are dropped at the deadline: the arm ends at the
-  // last request it fully served (or at the aborted request's cylinder,
-  // which for SCAN is adjacent — the difference is below seek resolution).
-  arm_cylinder_ = outcome.glitched_streams.empty()
-                      ? timing.final_arm_cylinder
-                      : last_on_time_cylinder;
-  ascending_ = !ascending_;
-
-  // Observability: per-round decomposition into the trace sink and the
-  // metric registry. The injected disturbance and fault delays ride in
-  // the rotation slot of the per-request timings, so they are subtracted
-  // back out to keep seek + rotation + transfer + disturbance + fault ==
-  // service time.
-  if (config_.trace != nullptr || metrics_.has_value()) {
-    RoundBreakdown breakdown;
-    breakdown.seek_s = return_seek_s;
-    for (const sched::RequestTiming& rt : timing.per_request) {
-      breakdown.seek_s += rt.seek_s;
-      breakdown.rotation_s += rt.rotation_s;
-      breakdown.transfer_s += rt.transfer_s;
-    }
-    breakdown.rotation_s -= disturbance_delay_s + fault_delay_s;
-    breakdown.disturbance_delay_s = disturbance_delay_s;
-    breakdown.disturbances = disturbances;
-    breakdown.fault_delay_s = fault_delay_s;
-    breakdown.faulted_requests = faulted_requests;
-    breakdown.service_time_s = outcome.total_service_time_s;
-    if (config_.truncate_at_deadline && outcome.overran) {
-      const size_t n = timing.per_request.size();
-      std::vector<int> order(n);
-      std::vector<double> seek_by_pos(n);
-      std::vector<double> rotation_by_pos(n);
-      std::vector<double> transfer_by_pos(n);
-      for (size_t i = 0; i < n; ++i) {
-        order[i] = requests[i].stream_id;
-        seek_by_pos[i] = timing.per_request[i].seek_s;
-        rotation_by_pos[i] = timing.per_request[i].rotation_s;
-        transfer_by_pos[i] = timing.per_request[i].transfer_s;
-      }
-      TruncateBreakdown(&breakdown, order, seek_by_pos, rotation_by_pos,
-                        transfer_by_pos, return_seek_s);
-    }
-    std::fill(scratch_.zone_hits.begin(), scratch_.zone_hits.end(), 0);
-    for (const sched::DiskRequest& request : requests) {
-      ++scratch_.zone_hits[request.zone];
-    }
-    EmitRoundObservability(outcome, breakdown);
-  }
-  ++rounds_run_;
-  return outcome;
-}
-
-RoundOutcome RoundSimulator::RunRoundBatched() {
   const int n = num_streams_;
   RoundScratch& s = scratch_;
   const bool disk_failed =
@@ -345,8 +199,9 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
   // Rotational latencies in one batch.
   rng_.FillUniform(0.0, geometry_.rotation_time(), s.rotation_s.data(), n);
 
-  // Failure injection, bit-identical to the scalar kernel: the dedicated
-  // substream is consumed in the same per-request order.
+  // Failure injection: sporadic extra delay, charged with the rotational
+  // latency (any additive slot in the per-request service works). Drawn
+  // from the dedicated substream so the main stream is undisturbed.
   int disturbances = 0;
   double disturbance_delay_s = 0.0;
   const DisturbanceConfig& disturbance = config_.disturbance;
@@ -363,8 +218,8 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
     }
   }
 
-  // Structured faults, consumed in the same issue order as the scalar
-  // kernel so the fault substream positions match across kernels.
+  // Structured faults, same additive slot, consulted in issue order. A
+  // failed disk serves nothing, so no per-request fault draws happen there.
   double fault_delay_s = 0.0;
   int faulted_requests = 0;
   if (fault_injector_ != nullptr && !disk_failed) {
@@ -387,153 +242,39 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
     return FinishDiskFailedRound();
   }
 
-  // Arm policy, identical to the scalar kernel.
-  double return_seek_s = 0.0;
-  sched::SweepDirection direction = sched::SweepDirection::kAscending;
-  if (config_.sweep_policy == SweepPolicy::kAlternate) {
-    direction = ascending_ ? sched::SweepDirection::kAscending
-                           : sched::SweepDirection::kDescending;
-  } else {
-    if (!config_.legacy_free_arm_reset && arm_cylinder_ != 0) {
-      return_seek_s = seek_.SeekTime(arm_cylinder_);
-    }
-    arm_cylinder_ = 0;
-  }
-
-  // Service order as an index permutation over the SoA (the requests
-  // themselves never move). For SCAN the permutation is one flat uint64
-  // sort of (cylinder, index) keys — bitwise-complemented cylinders give
-  // the descending sweep with the same ascending-index tie-break as the
-  // scalar kernel's stable sort.
-  switch (config_.ordering) {
-    case sched::OrderingPolicy::kFcfs:
-      for (int i = 0; i < n; ++i) s.order[i] = i;
-      break;
-    case sched::OrderingPolicy::kScan: {
-      // Keys are unique (the index lives in the low bits), so any sort
-      // yields the same ascending permutation; the algorithm cannot
-      // change results. The common case — at most 32 streams on a disk
-      // with fewer than 2^26 cylinders — packs (cylinder, index) into
-      // 32 bits and runs a branch-free sorting network, several times
-      // faster than std::sort on a fresh random permutation per round.
-      const bool network_ok =
-          n <= static_cast<int>(numeric::kSortNetworkMaxN) &&
-          geometry_.cylinders() < (1 << 26);
-      const bool ascending =
-          direction == sched::SweepDirection::kAscending;
-      if (network_ok) {
-        uint32_t keys[numeric::kSortNetworkMaxN];
-        constexpr uint32_t kCylMask = (1u << 26) - 1u;
-        if (ascending) {
-          for (int i = 0; i < n; ++i) {
-            keys[i] = (static_cast<uint32_t>(s.cylinder[i]) << 6) |
-                      static_cast<uint32_t>(i);
-          }
-        } else {
-          for (int i = 0; i < n; ++i) {
-            keys[i] = ((~static_cast<uint32_t>(s.cylinder[i]) & kCylMask)
-                       << 6) |
-                      static_cast<uint32_t>(i);
-          }
-        }
-        numeric::SortU32Network(keys, static_cast<size_t>(n));
-        for (int i = 0; i < n; ++i) {
-          s.order[i] = static_cast<int>(keys[i] & 0x3fu);
-        }
-        break;
-      }
-      if (ascending) {
-        for (int i = 0; i < n; ++i) {
-          s.sort_key[i] = (static_cast<uint64_t>(
-                               static_cast<uint32_t>(s.cylinder[i]))
-                           << 32) |
-                          static_cast<uint32_t>(i);
-        }
-      } else {
-        for (int i = 0; i < n; ++i) {
-          s.sort_key[i] = (static_cast<uint64_t>(
-                               ~static_cast<uint32_t>(s.cylinder[i]))
-                           << 32) |
-                          static_cast<uint32_t>(i);
-        }
-      }
-      std::sort(s.sort_key.begin(), s.sort_key.end());
-      for (int i = 0; i < n; ++i) {
-        s.order[i] = static_cast<int>(s.sort_key[i] & 0xffffffffu);
-      }
-      break;
-    }
-    case sched::OrderingPolicy::kSstf: {
-      for (int i = 0; i < n; ++i) s.order[i] = i;
-      int arm = arm_cylinder_;
-      for (int served = 0; served < n; ++served) {
-        int best = served;
-        int best_distance = std::abs(s.cylinder[s.order[served]] - arm);
-        for (int i = served + 1; i < n; ++i) {
-          const int distance = std::abs(s.cylinder[s.order[i]] - arm);
-          if (distance < best_distance) {
-            best = i;
-            best_distance = distance;
-          }
-        }
-        std::swap(s.order[served], s.order[best]);
-        arm = s.cylinder[s.order[served]];
-      }
-      break;
-    }
-  }
-
-  // Per-request terms of the sweep, evaluated wide before the strictly-
-  // ordered walk (sim/batch_kernels.h): transfers in SoA index order,
-  // seeks in service order over the arm walk's distances (an integer
-  // recurrence, cheap to peel off). Element-wise arithmetic is order-
-  // independent, so this is the scalar sweep's values exactly.
   internal::TransferTimes(s.bytes.data(), s.rate_bps.data(),
                           s.transfer_time_s.data(), static_cast<size_t>(n));
-  {
-    int walk_arm = arm_cylinder_;
-    for (int pos = 0; pos < n; ++pos) {
-      const int cylinder = s.cylinder[s.order[pos]];
-      s.seek_dist[pos] = std::abs(cylinder - walk_arm);
-      walk_arm = cylinder;
-    }
-  }
-  internal::SeekTimes(seek_, s.seek_dist.data(), s.seek_time_s.data(),
-                      static_cast<size_t>(n));
+  RoundSweep& sweep = s.sweep;
+  SweepRound(seek_, config_.sweep_policy, config_.ordering, arm_cylinder_,
+             ascending_, config_.round_length_s,
+             SweepRequests{n, s.cylinder.data(), s.rotation_s.data(),
+                           s.transfer_time_s.data()},
+             &sweep);
 
-  // The fused sweep proper: cumulative clock over seek + rotation +
-  // transfer (exactly as sched::ExecuteScanRound, without materializing
-  // request structs), with deadline checks folded into the same pass.
   RoundOutcome outcome;
-  double clock = 0.0;
-  int last_on_time_cylinder = arm_cylinder_;
-  for (int pos = 0; pos < n; ++pos) {
-    const int i = s.order[pos];
-    clock += s.seek_time_s[pos] + s.rotation_s[i] + s.transfer_time_s[i];
-    if (return_seek_s + clock > config_.round_length_s) {
-      outcome.glitched_streams.push_back(i);  // stream id == SoA index
-    } else {
-      last_on_time_cylinder = s.cylinder[i];
+  outcome.total_service_time_s = sweep.total_s;
+  outcome.overran = outcome.total_service_time_s > config_.round_length_s;
+  if (sweep.late > 0) {
+    outcome.glitched_streams.reserve(static_cast<size_t>(sweep.late));
+    for (int pos = 0; pos < n; ++pos) {
+      // Stream id == SoA index.
+      if (sweep.Late(pos)) outcome.glitched_streams.push_back(sweep.order[pos]);
     }
   }
-
-  outcome.total_service_time_s = return_seek_s + clock;
-  outcome.overran = outcome.total_service_time_s > config_.round_length_s;
-  arm_cylinder_ = outcome.glitched_streams.empty()
-                      ? s.cylinder[s.order[n - 1]]
-                      : last_on_time_cylinder;
+  arm_cylinder_ = sweep.final_arm_cylinder;
   ascending_ = !ascending_;
 
+  // Observability: per-round decomposition into the trace sink and the
+  // metric registry. The injected disturbance and fault delays ride in
+  // the rotation slot, so they are subtracted back out to keep
+  // seek + rotation + transfer + disturbance + fault == service time.
   if (config_.trace != nullptr || metrics_.has_value()) {
-    // Phase sums only feed the observability sink, so they accumulate
-    // here — in the same service order as before — rather than inside
-    // the hot sweep.
-    double seek_sum = return_seek_s;
+    double seek_sum = sweep.return_seek_s;
     double rotation_sum = 0.0;
     double transfer_sum = 0.0;
     for (int pos = 0; pos < n; ++pos) {
-      const int i = s.order[pos];
-      seek_sum += s.seek_time_s[pos];
+      const int i = sweep.order[pos];
+      seek_sum += sweep.seek_s[pos];
       rotation_sum += s.rotation_s[i];
       transfer_sum += s.transfer_time_s[i];
     }
@@ -548,19 +289,7 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
     breakdown.faulted_requests = faulted_requests;
     breakdown.service_time_s = outcome.total_service_time_s;
     if (config_.truncate_at_deadline && outcome.overran) {
-      // Per-position phase lengths are already materialized; only the
-      // rotation column needs gathering into service order.
-      std::vector<double> seek_by_pos(static_cast<size_t>(n));
-      std::vector<double> rotation_by_pos(static_cast<size_t>(n));
-      std::vector<double> transfer_by_pos(static_cast<size_t>(n));
-      for (int pos = 0; pos < n; ++pos) {
-        const int i = s.order[pos];
-        seek_by_pos[pos] = s.seek_time_s[pos];
-        rotation_by_pos[pos] = s.rotation_s[i];
-        transfer_by_pos[pos] = s.transfer_time_s[i];
-      }
-      TruncateBreakdown(&breakdown, s.order, seek_by_pos, rotation_by_pos,
-                        transfer_by_pos, return_seek_s);
+      TruncateBreakdown(&breakdown);
     }
     std::fill(s.zone_hits.begin(), s.zone_hits.end(), 0);
     for (int i = 0; i < n; ++i) ++s.zone_hits[s.zone[i]];
@@ -603,15 +332,12 @@ RoundOutcome RoundSimulator::FinishDiskFailedRound() {
   return outcome;
 }
 
-void RoundSimulator::TruncateBreakdown(
-    RoundBreakdown* breakdown, const std::vector<int>& order,
-    const std::vector<double>& seek_by_pos,
-    const std::vector<double>& rotation_by_pos,
-    const std::vector<double>& transfer_by_pos, double return_seek_s) const {
+void RoundSimulator::TruncateBreakdown(RoundBreakdown* breakdown) const {
   // Walk the sweep once more, clipping each phase against the time left
-  // before the deadline. `rotation_by_pos` includes the injected delays
+  // before the deadline. The rotation column includes the injected delays
   // (that is the slot they ride in), so the base rotation is recovered by
   // subtracting the per-stream delay records.
+  const RoundSweep& sweep = scratch_.sweep;
   double remaining = config_.round_length_s;
   bool cut = false;
   const auto charge = [&remaining, &cut](double length, double* sum) {
@@ -627,17 +353,18 @@ void RoundSimulator::TruncateBreakdown(
   double disturbance_sum = 0.0;
   double fault_sum = 0.0;
   int truncated = 0;
-  charge(return_seek_s, &seek_sum);
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    const int stream = order[pos];
+  charge(sweep.return_seek_s, &seek_sum);
+  for (size_t pos = 0; pos < sweep.order.size(); ++pos) {
+    const int stream = sweep.order[pos];
     const double dist_delay = scratch_.dist_delay_s[stream];
     const double fault_delay = scratch_.fault_delay_s[stream];
     cut = false;
-    charge(seek_by_pos[pos], &seek_sum);
-    charge(rotation_by_pos[pos] - dist_delay - fault_delay, &rotation_sum);
+    charge(sweep.seek_s[pos], &seek_sum);
+    charge(scratch_.rotation_s[stream] - dist_delay - fault_delay,
+           &rotation_sum);
     charge(dist_delay, &disturbance_sum);
     charge(fault_delay, &fault_sum);
-    charge(transfer_by_pos[pos], &transfer_sum);
+    charge(scratch_.transfer_time_s[stream], &transfer_sum);
     if (cut) ++truncated;
   }
   breakdown->seek_s = seek_sum;
@@ -789,11 +516,9 @@ ProbabilityEstimate RoundSimulator::EstimateGlitchProbability(int rounds) {
   const int64_t stream_rounds =
       static_cast<int64_t>(rounds) * num_streams_;
   const numeric::ProportionInterval interval =
-      config_.legacy_pooled_intervals
-          ? numeric::WilsonInterval(glitch_events, stream_rounds)
-          : numeric::ClusteredProportionInterval(
-                round_fractions.mean(), round_fractions.sample_variance(),
-                rounds, num_streams_);
+      numeric::ClusteredProportionInterval(round_fractions.mean(),
+                                           round_fractions.sample_variance(),
+                                           rounds, num_streams_);
   const double point = static_cast<double>(glitch_events) /
                        static_cast<double>(stream_rounds);
   return ProbabilityEstimate{point, interval.lower, interval.upper,
@@ -821,10 +546,8 @@ ProbabilityEstimate RoundSimulator::EstimateErrorProbability(int m, int g,
   }
   const int64_t samples = static_cast<int64_t>(lifetimes) * num_streams_;
   const numeric::ProportionInterval interval =
-      config_.legacy_pooled_intervals
-          ? numeric::WilsonInterval(exceeding_streams, samples)
-          : numeric::ClusteredProportionInterval(exceeding_per_lifetime,
-                                                 num_streams_);
+      numeric::ClusteredProportionInterval(exceeding_per_lifetime,
+                                           num_streams_);
   const double point = static_cast<double>(exceeding_streams) /
                        static_cast<double>(samples);
   return ProbabilityEstimate{point, interval.lower, interval.upper, samples};

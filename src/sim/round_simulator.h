@@ -22,7 +22,7 @@
 #include "fault/fault_model.h"
 #include "numeric/statistics.h"
 #include "sched/ordering.h"
-#include "sched/scan.h"
+#include "sim/round_kernel.h"
 #include "workload/fragment_source.h"
 #include "workload/size_distribution.h"
 
@@ -39,12 +39,6 @@ namespace zonestream::sim {
 // simulator construction. Stream ids are 0-based.
 using FragmentSourceFactory =
     std::function<std::unique_ptr<workload::FragmentSource>(int stream_id)>;
-
-// How the arm behaves between rounds.
-enum class SweepPolicy {
-  kAlternate,       // elevator: sweep direction flips every round
-  kResetAscending,  // arm returns to cylinder 0, every sweep ascends
-};
 
 // Samples the disk position of one fragment. The default (null) sampler is
 // uniform-over-capacity on the geometry (the paper's placement); the
@@ -70,6 +64,12 @@ struct DisturbanceConfig {
   double delay_min_s = 0.0;
   double delay_max_s = 0.0;   // uniform delay in [min, max]
 };
+
+// InvalidArgument unless probability is in [0, 1] and
+// 0 <= delay_min_s <= delay_max_s (NaN fails every check). Shared by the
+// naive and importance-sampled estimators so both accept the same
+// configs.
+common::Status ValidateDisturbance(const DisturbanceConfig& disturbance);
 
 // Simulation knobs.
 struct SimulatorConfig {
@@ -108,34 +108,6 @@ struct SimulatorConfig {
   // only. Default off, preserving the historical trace values.
   bool truncate_at_deadline = false;
 
-  // Use the batched structure-of-arrays round kernel (default): per-round
-  // variates are drawn in batches (all positions, then all sizes, then
-  // all rotational latencies), zones come from the geometry's O(1) alias
-  // table, and all per-round state lives in scratch buffers reused across
-  // rounds — no allocation on the hot path. The batched and scalar
-  // kernels simulate the same model and are statistically
-  // indistinguishable (tests/sim/batch_kernel_test.cc), but they consume
-  // the main RNG stream in different orders, so individual sample paths
-  // differ for the same seed. Set false for the scalar reference kernel,
-  // which preserves today's bit-exact per-seed outputs (A/B ablation and
-  // golden-value regressions). Disturbance draws use a dedicated
-  // substream consumed identically by both kernels.
-  bool batched_kernel = true;
-
-  // Legacy-compatibility switches preserving pre-bugfix behavior for
-  // side-by-side comparison; both default to the corrected behavior.
-  //
-  // Before the fix, kResetAscending teleported the arm to cylinder 0
-  // between rounds without charging the return sweep, silently crediting
-  // each round the seek back from wherever the previous sweep ended.
-  bool legacy_free_arm_reset = false;
-  // Before the fix, EstimateGlitchProbability/EstimateErrorProbability
-  // fed correlated events (all streams of one round / one lifetime) into
-  // a pooled Wilson interval, yielding overconfident CIs; the corrected
-  // estimators cluster by round / lifetime (see
-  // numeric::ClusteredProportionInterval).
-  bool legacy_pooled_intervals = false;
-
   // Optional observability hooks (not owned; null = disabled). `metrics`
   // receives counters/histograms under the "sim." prefix and `trace` one
   // obs::RoundTraceEvent per round with source_id `trace_source_id`; both
@@ -167,7 +139,7 @@ struct ProbabilityEstimate {
 // the arm state, the round counter, and each stream source's cross-round
 // state. Restoring it onto a simulator freshly Created with the same
 // (geometry, seek, num_streams, factory, config) continues the run
-// bit-identically under either kernel.
+// bit-identically.
 struct RoundSimulatorState {
   std::string rng_state;              // numeric::Rng::SaveState
   std::string disturbance_rng_state;  // ditto, dedicated substream
@@ -206,17 +178,15 @@ class RoundSimulator {
   // (stream, round) glitch events over `rounds` rounds. The events of one
   // round are correlated (one slow sweep glitches many streams at once),
   // so the CI clusters by round: the per-round glitch fraction is the
-  // i.i.d. sample (numeric::ClusteredProportionInterval). Set
-  // SimulatorConfig::legacy_pooled_intervals for the old overconfident
-  // pooled Wilson interval.
+  // i.i.d. sample (numeric::ClusteredProportionInterval).
   ProbabilityEstimate EstimateGlitchProbability(int rounds);
 
   // Estimates p_error = P[a stream suffers >= g glitches in m rounds] over
   // `lifetimes` independent m-round stream lifetimes (each lifetime batch
   // yields num_streams samples — Table 2's simulated series). The
   // num_streams samples of one lifetime share the same m simulated
-  // rounds, so the CI clusters by lifetime (same estimator and legacy
-  // switch as EstimateGlitchProbability).
+  // rounds, so the CI clusters by lifetime (same estimator as
+  // EstimateGlitchProbability).
   ProbabilityEstimate EstimateErrorProbability(int m, int g, int lifetimes);
 
   // Collects `rounds` total-service-time samples (for distribution-level
@@ -267,33 +237,21 @@ class RoundSimulator {
     std::vector<obs::Counter*> zone_hits;
   };
 
-  // Structure-of-arrays scratch for the batched kernel, sized once at
-  // construction and reused every round. zone_hits doubles as the
-  // preallocated per-round zone tally for the observability hooks (both
-  // kernels), replacing the old per-request counter increments and the
-  // per-round vector growth.
+  // Structure-of-arrays scratch, sized once at construction and reused
+  // every round: no allocation on the hot path. zone_hits doubles as the
+  // per-round zone tally for the observability hooks.
   struct RoundScratch {
     // Position-draw uniforms, one contiguous block of 2n so the round
     // fills them with a single engine pass: zone draws in [0, n),
-    // cylinder draws in [n, 2n) — the same words, in the same order, as
-    // the former back-to-back per-array fills.
+    // cylinder draws in [n, 2n).
     std::vector<double> u_pos;
     std::vector<int> cylinder;
     std::vector<int> zone;
     std::vector<double> rate_bps;
     std::vector<double> bytes;
     std::vector<double> rotation_s;    // rotational latency + injected delay
-    std::vector<int> order;            // service order (indices into the SoA)
-    // SCAN sort keys: cylinder (bit-reversed for descending sweeps) in the
-    // high 32 bits, SoA index in the low 32 — one flat uint64 sort
-    // replaces the comparator-indirect index sort.
-    std::vector<uint64_t> sort_key;
-    // Wide-kernel staging for the sweep (sim/batch_kernels.h):
-    // per-stream transfer times (SoA index order), and per-position seek
-    // distances/times (service order).
     std::vector<double> transfer_time_s;
-    std::vector<double> seek_dist;
-    std::vector<double> seek_time_s;
+    RoundSweep sweep;                  // the kernel's order, seeks, clock
     std::vector<int32_t> zone_hits;    // per-zone tallies, reset each round
     // Per-stream injected delays, tracked only when truncate_at_deadline
     // needs the phase-level breakdown of the cut request.
@@ -323,23 +281,16 @@ class RoundSimulator {
                  std::unique_ptr<fault::FaultInjector> fault_injector,
                  const SimulatorConfig& config);
 
-  RoundOutcome RunRoundScalar();
-  RoundOutcome RunRoundBatched();
-
   // Completes a round on a failed disk: requests were drawn (the caller
   // tallied scratch_.zone_hits) but nothing is served — every stream
   // glitches and the trace event carries disk_failed = true.
   RoundOutcome FinishDiskFailedRound();
 
   // Rewrites `breakdown` so every component is charged at its truncated
-  // length against the round deadline (see truncate_at_deadline). Phase
-  // lengths are read back per stream id from the scratch delay arrays.
-  void TruncateBreakdown(RoundBreakdown* breakdown,
-                         const std::vector<int>& order,
-                         const std::vector<double>& seek_by_pos,
-                         const std::vector<double>& rotation_by_pos,
-                         const std::vector<double>& transfer_by_pos,
-                         double return_seek_s) const;
+  // length against the round deadline (see truncate_at_deadline), walking
+  // the sweep left in scratch_.sweep; injected delays are read back per
+  // stream id from the scratch delay arrays.
+  void TruncateBreakdown(RoundBreakdown* breakdown) const;
 
   // Emits the per-round trace event and metric updates. Zone tallies are
   // read from scratch_.zone_hits, which the caller must have filled.
@@ -360,8 +311,7 @@ class RoundSimulator {
   int64_t rounds_run_ = 0;
   std::optional<Metrics> metrics_;
   // Non-null iff every stream draws i.i.d. from this one distribution, in
-  // which case the batched kernel pulls a round's sizes in one
-  // FillSamples() call.
+  // which case a round's sizes come from one FillSamples() call.
   const workload::SizeDistribution* shared_iid_ = nullptr;
   RoundScratch scratch_;
 };

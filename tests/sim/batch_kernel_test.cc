@@ -1,13 +1,9 @@
-// The batched/scalar kernel contract (SimulatorConfig::batched_kernel):
-//  - the scalar kernel preserves the pre-batching bit-exact sample paths
-//    (golden regression),
-//  - the batched kernel simulates the same model, so the two are
-//    statistically indistinguishable on Table 1 workloads,
-//  - replicated estimators under the batched kernel stay bit-identical
-//    across thread counts (the determinism contract of sim/replication.h),
-//  - the disturbance substream stays isolated in the batched kernel,
-//  - observability output obeys the same invariants for both kernels.
-#include <cmath>
+// The batched round path of RoundSimulator (whole-round draws into
+// structure-of-arrays scratch, then the round kernel):
+//  - replicated estimators stay bit-identical across thread counts (the
+//    determinism contract of sim/replication.h),
+//  - the disturbance substream stays isolated,
+//  - observability output obeys its invariants.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,7 +15,6 @@
 #include "disk/presets.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "sim/mixed_simulator.h"
 #include "sim/replication.h"
 #include "sim/round_simulator.h"
 #include "workload/size_distribution.h"
@@ -33,164 +28,14 @@ std::shared_ptr<const workload::SizeDistribution> Table1Sizes() {
   return std::make_shared<workload::GammaSizeDistribution>(*sizes);
 }
 
-RoundSimulator MakeSimulator(int n, uint64_t seed, bool batched,
-                             SweepPolicy policy = SweepPolicy::kAlternate) {
-  SimulatorConfig config;
-  config.round_length_s = 1.0;
-  config.seed = seed;
-  config.batched_kernel = batched;
-  config.sweep_policy = policy;
-  auto simulator = RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
-      RoundSimulator::IidFactory(Table1Sizes()), config);
-  ZS_CHECK(simulator.ok());
-  return *std::move(simulator);
-}
-
 // --------------------------------------------------------------------------
-// Golden regression: the scalar reference kernel reproduces the exact
-// pre-batching sample paths.
-
-// The golden sums were captured from the seed tree (before the batched
-// kernel existed) with seed 12345, N = 26 Table 1 streams, 300 rounds.
-// EXPECT_DOUBLE_EQ is deliberate: "bit-exact per-seed outputs" is the
-// documented contract of batched_kernel = false.
-TEST(BatchKernelTest, ScalarKernelPreservesGoldenSamplePaths) {
-  RoundSimulator alternate =
-      MakeSimulator(26, 12345, /*batched=*/false, SweepPolicy::kAlternate);
-  double sum = 0.0;
-  int glitches = 0;
-  for (int r = 0; r < 300; ++r) {
-    const RoundOutcome outcome = alternate.RunRound();
-    sum += outcome.total_service_time_s;
-    glitches += static_cast<int>(outcome.glitched_streams.size());
-  }
-  EXPECT_DOUBLE_EQ(sum, 229.03288474424664);
-  EXPECT_EQ(glitches, 0);
-
-  RoundSimulator reset = MakeSimulator(26, 12345, /*batched=*/false,
-                                       SweepPolicy::kResetAscending);
-  double reset_sum = 0.0;
-  for (int r = 0; r < 300; ++r) {
-    reset_sum += reset.RunRound().total_service_time_s;
-  }
-  EXPECT_DOUBLE_EQ(reset_sum, 234.37167871077045);
-}
-
-// --------------------------------------------------------------------------
-// Statistical equivalence: the kernels draw the same distributions in a
-// different order, so sample paths differ but every statistic agrees.
-
-TEST(BatchKernelTest, KernelsAgreeOnMeanServiceTime) {
-  const int rounds = 20000;
-  RoundSimulator batched = MakeSimulator(26, 101, /*batched=*/true);
-  RoundSimulator scalar = MakeSimulator(26, 202, /*batched=*/false);
-  const numeric::RunningStats b = batched.SampleServiceTimes(rounds);
-  const numeric::RunningStats s = scalar.SampleServiceTimes(rounds);
-  // 5-sigma on the difference of two independent sample means.
-  const double se =
-      std::sqrt(b.variance() / rounds + s.variance() / rounds);
-  EXPECT_NEAR(b.mean(), s.mean(), 5.0 * se)
-      << "batched mean " << b.mean() << " scalar mean " << s.mean();
-  // Per-round spread must match too (same distribution, not just mean).
-  EXPECT_NEAR(std::sqrt(b.variance()), std::sqrt(s.variance()),
-              0.1 * std::sqrt(s.variance()));
-}
-
-// Two-sample Kolmogorov–Smirnov distance between the kernels' service
-// time distributions, against the asymptotic critical value
-// c(alpha) * sqrt((n + m) / (n * m)). This is the documented tolerance
-// of the batched/scalar equivalence: same distribution, different draw
-// order.
-TEST(BatchKernelTest, KernelsPassTwoSampleKolmogorovSmirnov) {
-  const int rounds = 10000;
-  RoundSimulator batched = MakeSimulator(26, 111, /*batched=*/true);
-  RoundSimulator scalar = MakeSimulator(26, 222, /*batched=*/false);
-  std::vector<double> b(rounds);
-  std::vector<double> s(rounds);
-  for (int r = 0; r < rounds; ++r) {
-    b[r] = batched.RunRound().total_service_time_s;
-    s[r] = scalar.RunRound().total_service_time_s;
-  }
-  std::sort(b.begin(), b.end());
-  std::sort(s.begin(), s.end());
-  double statistic = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < b.size() && j < s.size()) {
-    if (b[i] <= s[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-    statistic = std::max(
-        statistic, std::abs(static_cast<double>(i) / b.size() -
-                            static_cast<double>(j) / s.size()));
-  }
-  // c(0.001) = sqrt(-ln(0.0005) / 2) ≈ 1.95; two-sample scaling.
-  const double critical =
-      std::sqrt(-std::log(0.0005) / 2.0) *
-      std::sqrt(static_cast<double>(b.size() + s.size()) /
-                (static_cast<double>(b.size()) * s.size()));
-  EXPECT_LT(statistic, critical);
-}
-
-TEST(BatchKernelTest, KernelsAgreeOnLateProbability) {
-  // N = 30 sits near the deadline so p_late is comfortably in (0, 1) and
-  // the comparison has statistical power.
-  const int rounds = 20000;
-  RoundSimulator batched = MakeSimulator(30, 303, /*batched=*/true);
-  RoundSimulator scalar = MakeSimulator(30, 404, /*batched=*/false);
-  const ProbabilityEstimate b = batched.EstimateLateProbability(rounds);
-  const ProbabilityEstimate s = scalar.EstimateLateProbability(rounds);
-  EXPECT_GT(b.point, 0.0);
-  EXPECT_LT(b.point, 1.0);
-  const double pooled = 0.5 * (b.point + s.point);
-  const double se = std::sqrt(2.0 * pooled * (1.0 - pooled) / rounds);
-  EXPECT_NEAR(b.point, s.point, 5.0 * se + 1e-6)
-      << "batched " << b.point << " scalar " << s.point;
-}
-
-TEST(BatchKernelTest, MixedSimulatorKernelsStatisticallyIndistinguishable) {
-  const int rounds = 4000;
-  MixedSimulatorConfig config;
-  config.round_length_s = 1.0;
-  config.discrete_arrival_rate_hz = 3.0;
-  config.seed = 515;
-  config.batched_kernel = true;
-  auto batched = MixedRoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 26,
-      Table1Sizes(), Table1Sizes(), config);
-  ASSERT_TRUE(batched.ok());
-  config.seed = 616;
-  config.batched_kernel = false;
-  auto scalar = MixedRoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 26,
-      Table1Sizes(), Table1Sizes(), config);
-  ASSERT_TRUE(scalar.ok());
-
-  const MixedRunResult b = batched->Run(rounds);
-  const MixedRunResult s = scalar->Run(rounds);
-  EXPECT_EQ(b.rounds, s.rounds);
-  EXPECT_EQ(b.continuous_requests, s.continuous_requests);
-  // Leftover time is round_length - continuous sweep - discrete service:
-  // the most sensitive aggregate of the continuous kernel's output.
-  EXPECT_NEAR(b.mean_leftover_s, s.mean_leftover_s,
-              0.05 * config.round_length_s);
-  EXPECT_NEAR(b.continuous_glitch_rate, s.continuous_glitch_rate, 0.02);
-  EXPECT_NEAR(b.mean_response_time_s, s.mean_response_time_s,
-              0.25 * s.mean_response_time_s + 0.01);
-}
-
-// --------------------------------------------------------------------------
-// Determinism contract: batched replicated estimates are bit-identical at
-// any thread count (replication r's path depends only on (base_seed, r)).
+// Determinism contract: replicated estimates are bit-identical at any
+// thread count (replication r's path depends only on (base_seed, r)).
 
 TEST(BatchKernelTest, BatchedReplicationBitIdenticalAcrossThreadCounts) {
   const auto factory = RoundSimulator::IidFactory(Table1Sizes());
   SimulatorConfig config;
   config.round_length_s = 1.0;
-  ASSERT_TRUE(config.batched_kernel);  // batched is the default
 
   common::ThreadPool one(1);
   ReplicationOptions options;
@@ -216,7 +61,7 @@ TEST(BatchKernelTest, BatchedReplicationBitIdenticalAcrossThreadCounts) {
 }
 
 // --------------------------------------------------------------------------
-// Disturbance substream isolation holds in the batched kernel: zero
+// Disturbance substream isolation: zero
 // probability consumes no disturbance draws, and a degenerate constant
 // delay shifts every round by exactly N * d.
 
@@ -272,7 +117,7 @@ TEST(BatchKernelTest, BatchedConstantDelayShiftsRoundsByExactlyNDelay) {
 }
 
 // --------------------------------------------------------------------------
-// Observability invariants under the batched kernel.
+// Observability invariants.
 
 TEST(BatchKernelTest, BatchedObservabilityInvariantsHold) {
   const int n = 26;
@@ -282,7 +127,6 @@ TEST(BatchKernelTest, BatchedObservabilityInvariantsHold) {
   SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = 909;
-  config.batched_kernel = true;
   config.metrics = &registry;
   config.trace = &trace;
   config.trace_source_id = 4;

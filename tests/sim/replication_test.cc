@@ -1,6 +1,8 @@
 #include "sim/replication.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -249,22 +251,20 @@ TEST(ReplicationTest, GlitchIntervalClusteredWiderThanLegacyPooled) {
   const auto factory = RoundSimulator::IidFactory(TestSizes());
   ReplicationOptions options;
   options.replications = 8;
-  SimulatorConfig clustered_config = TestConfig();
-  SimulatorConfig pooled_config = TestConfig();
-  pooled_config.legacy_pooled_intervals = true;
   const int n = 30;  // loaded enough to glitch
   const auto clustered = EstimateGlitchProbabilityReplicated(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n, factory,
-      clustered_config, /*rounds_per_replication=*/500, options);
-  const auto pooled = EstimateGlitchProbabilityReplicated(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n, factory,
-      pooled_config, /*rounds_per_replication=*/500, options);
+      TestConfig(), /*rounds_per_replication=*/500, options);
   ASSERT_TRUE(clustered.ok());
-  ASSERT_TRUE(pooled.ok());
-  EXPECT_DOUBLE_EQ(clustered->point, pooled->point);
+  // The pooled Wilson interval that treats every (stream, round) event as
+  // independent.
+  const numeric::ProportionInterval pooled = numeric::WilsonInterval(
+      static_cast<int64_t>(std::llround(clustered->point * clustered->trials)),
+      clustered->trials);
+  EXPECT_DOUBLE_EQ(clustered->point, pooled.point);
   EXPECT_GT(clustered->point, 0.0);
   EXPECT_GT(clustered->ci_upper - clustered->ci_lower,
-            pooled->ci_upper - pooled->ci_lower);
+            pooled.upper - pooled.lower);
 }
 
 TEST(ReplicationTest, SharedObsHooksCollectAcrossReplications) {

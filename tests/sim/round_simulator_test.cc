@@ -53,6 +53,25 @@ TEST(RoundSimulatorTest, CreateValidation) {
                                       disk::QuantumViking2100Seek(), 5,
                                       nullptr, config)
                    .ok());
+  // Disturbance configs the importance sampler rejects are rejected here
+  // too, NaN included, so both estimators accept the same configs.
+  const auto rejects = [](const DisturbanceConfig& disturbance) {
+    SimulatorConfig disturbed;
+    disturbed.disturbance = disturbance;
+    return !RoundSimulator::Create(disk::QuantumViking2100(),
+                                   disk::QuantumViking2100Seek(), 5,
+                                   RoundSimulator::IidFactory(Table1Sizes()),
+                                   disturbed)
+                .ok();
+  };
+  EXPECT_TRUE(rejects({-0.1, 0.0, 0.0}));
+  EXPECT_TRUE(rejects({1.5, 0.0, 0.0}));
+  EXPECT_TRUE(rejects({std::nan(""), 0.0, 0.0}));
+  EXPECT_TRUE(rejects({0.5, 0.02, 0.01}));  // min > max
+  EXPECT_TRUE(rejects({0.5, -0.01, 0.01}));
+  EXPECT_TRUE(rejects({0.5, std::nan(""), 0.01}));
+  EXPECT_FALSE(rejects({1.0, 0.01, 0.01}));
+  EXPECT_FALSE(rejects({0.0, 0.0, 0.0}));
 }
 
 TEST(RoundSimulatorTest, RoundOutcomeConsistency) {
@@ -261,81 +280,13 @@ TEST(RoundSimulatorTest, WilsonIntervalsBracketThePoint) {
 }
 
 // --------------------------------------------------------------------------
-// Regression: the one-directional sweep must charge the return seek
-
-RoundSimulator MakeResetSimulator(int n, uint64_t seed, bool legacy) {
-  SimulatorConfig config;
-  config.round_length_s = 1.0;
-  config.seed = seed;
-  config.sweep_policy = SweepPolicy::kResetAscending;
-  config.legacy_free_arm_reset = legacy;
-  auto simulator = RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
-      RoundSimulator::IidFactory(Table1Sizes()), config);
-  ZS_CHECK(simulator.ok());
-  return *std::move(simulator);
-}
-
-TEST(ArmResetRegressionTest, ReturnSeekLengthensRoundsVsLegacy) {
-  // Same seed => identical request sample paths (both sweeps start at
-  // cylinder 0 every round), so the corrected policy's rounds must be
-  // strictly longer by exactly the charged return seek.
-  RoundSimulator fixed = MakeResetSimulator(26, 57, /*legacy=*/false);
-  RoundSimulator legacy = MakeResetSimulator(26, 57, /*legacy=*/true);
-  // Round 0 starts with the arm already at 0: no return seek yet.
-  EXPECT_DOUBLE_EQ(fixed.RunRound().total_service_time_s,
-                   legacy.RunRound().total_service_time_s);
-  double charged = 0.0;
-  for (int r = 1; r < 200; ++r) {
-    const double with_return = fixed.RunRound().total_service_time_s;
-    const double free_reset = legacy.RunRound().total_service_time_s;
-    EXPECT_GT(with_return, free_reset) << "round " << r;
-    charged += with_return - free_reset;
-  }
-  // The per-round surcharge is a real seek: a full-stroke sweep back
-  // takes ~10-20 ms on this disk, never hours and never zero.
-  EXPECT_GT(charged / 199.0, 1e-3);
-  EXPECT_LT(charged / 199.0, 0.1);
-}
-
-TEST(ArmResetRegressionTest, ReturnSeekRaisesLateProbabilityEstimate) {
-  // At N = 30 the system sits near its deadline, so the uncharged seek
-  // visibly underestimates p_late.
-  RoundSimulator fixed = MakeResetSimulator(30, 13, /*legacy=*/false);
-  RoundSimulator legacy = MakeResetSimulator(30, 13, /*legacy=*/true);
-  const double p_fixed = fixed.EstimateLateProbability(4000).point;
-  const double p_legacy = legacy.EstimateLateProbability(4000).point;
-  EXPECT_GT(p_fixed, p_legacy);
-}
-
-TEST(ArmResetRegressionTest, AlternatePolicyUnaffectedByLegacyFlag) {
-  SimulatorConfig config;
-  config.seed = 91;
-  config.legacy_free_arm_reset = true;
-  auto legacy = RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 26,
-      RoundSimulator::IidFactory(Table1Sizes()), config);
-  ASSERT_TRUE(legacy.ok());
-  RoundSimulator plain = MakeSimulator(26, 91);
-  for (int r = 0; r < 50; ++r) {
-    EXPECT_DOUBLE_EQ(legacy->RunRound().total_service_time_s,
-                     plain.RunRound().total_service_time_s);
-  }
-}
-
-// --------------------------------------------------------------------------
 // Regression: correlated glitch/error events need cluster-robust intervals
 
-RoundSimulator MakeIntervalSimulator(int n, uint64_t seed, bool legacy) {
-  SimulatorConfig config;
-  config.round_length_s = 1.0;
-  config.seed = seed;
-  config.legacy_pooled_intervals = legacy;
-  auto simulator = RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
-      RoundSimulator::IidFactory(Table1Sizes()), config);
-  ZS_CHECK(simulator.ok());
-  return *std::move(simulator);
+// The pooled Wilson interval that treats every (stream, round) or
+// (stream, lifetime) sample as independent, rebuilt from an estimate.
+numeric::ProportionInterval PooledInterval(const ProbabilityEstimate& e) {
+  return numeric::WilsonInterval(
+      static_cast<int64_t>(std::llround(e.point * e.trials)), e.trials);
 }
 
 TEST(ClusteredIntervalRegressionTest, GlitchIntervalWiderThanPooled) {
@@ -343,13 +294,12 @@ TEST(ClusteredIntervalRegressionTest, GlitchIntervalWiderThanPooled) {
   // sweep glitches many streams at once, so the round-clustered interval
   // must be wider than the pooled Wilson interval that pretends the
   // (stream, round) events are independent.
-  RoundSimulator clustered = MakeIntervalSimulator(30, 5, /*legacy=*/false);
-  RoundSimulator pooled = MakeIntervalSimulator(30, 5, /*legacy=*/true);
+  RoundSimulator clustered = MakeSimulator(30, 5);
   const ProbabilityEstimate c = clustered.EstimateGlitchProbability(4000);
-  const ProbabilityEstimate p = pooled.EstimateGlitchProbability(4000);
+  const numeric::ProportionInterval p = PooledInterval(c);
   EXPECT_DOUBLE_EQ(c.point, p.point);
   EXPECT_GT(c.point, 0.0) << "need glitches for the comparison to bite";
-  EXPECT_GT(c.ci_upper - c.ci_lower, p.ci_upper - p.ci_lower);
+  EXPECT_GT(c.ci_upper - c.ci_lower, p.upper - p.lower);
   EXPECT_LE(c.ci_lower, c.point);
   EXPECT_GE(c.ci_upper, c.point);
   EXPECT_EQ(c.trials, 4000 * 30);
@@ -358,16 +308,14 @@ TEST(ClusteredIntervalRegressionTest, GlitchIntervalWiderThanPooled) {
 TEST(ClusteredIntervalRegressionTest, ErrorIntervalWiderThanPooled) {
   // The num_streams samples of one lifetime share the same m rounds: the
   // lifetime-clustered interval dominates the pooled one.
-  RoundSimulator clustered = MakeIntervalSimulator(30, 17, /*legacy=*/false);
-  RoundSimulator pooled = MakeIntervalSimulator(30, 17, /*legacy=*/true);
+  RoundSimulator clustered = MakeSimulator(30, 17);
   const ProbabilityEstimate c =
       clustered.EstimateErrorProbability(/*m=*/20, /*g=*/1, /*lifetimes=*/60);
-  const ProbabilityEstimate p =
-      pooled.EstimateErrorProbability(/*m=*/20, /*g=*/1, /*lifetimes=*/60);
+  const numeric::ProportionInterval p = PooledInterval(c);
   EXPECT_DOUBLE_EQ(c.point, p.point);
   EXPECT_GT(c.point, 0.0);
   EXPECT_LT(c.point, 1.0);
-  EXPECT_GE(c.ci_upper - c.ci_lower, p.ci_upper - p.ci_lower);
+  EXPECT_GE(c.ci_upper - c.ci_lower, p.upper - p.lower);
   EXPECT_LE(c.ci_lower, c.point);
   EXPECT_GE(c.ci_upper, c.point);
 }
@@ -380,12 +328,12 @@ TEST(ClusteredIntervalRegressionTest, ErrorProbabilityMatchesBinomialTail) {
   const int n = 30;
   const int m = 20;
   const int g = 1;
-  RoundSimulator for_glitch = MakeIntervalSimulator(n, 23, /*legacy=*/false);
+  RoundSimulator for_glitch = MakeSimulator(n, 23);
   const double p_glitch = for_glitch.EstimateGlitchProbability(6000).point;
   ASSERT_GT(p_glitch, 0.0);
   const double predicted = core::BinomialTailExact(m, p_glitch, g);
 
-  RoundSimulator for_error = MakeIntervalSimulator(n, 29, /*legacy=*/false);
+  RoundSimulator for_error = MakeSimulator(n, 29);
   const ProbabilityEstimate estimate =
       for_error.EstimateErrorProbability(m, g, /*lifetimes=*/100);
   EXPECT_GE(predicted, estimate.ci_lower);
@@ -539,11 +487,9 @@ TEST(ObservabilityTest, TraceDecompositionIdentityHolds) {
 // --------------------------------------------------------------------------
 // Structured fault injection
 
-// Every fault test runs under both round kernels.
-class FaultKernelTest : public ::testing::TestWithParam<bool> {
+class FaultKernelTest : public ::testing::Test {
  protected:
-  RoundSimulator MakeFaulty(int n, SimulatorConfig config) {
-    config.batched_kernel = GetParam();
+  RoundSimulator MakeFaulty(int n, const SimulatorConfig& config) {
     auto simulator = RoundSimulator::Create(
         disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
         RoundSimulator::IidFactory(Table1Sizes()), config);
@@ -552,9 +498,7 @@ class FaultKernelTest : public ::testing::TestWithParam<bool> {
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(BothKernels, FaultKernelTest, ::testing::Bool());
-
-TEST_P(FaultKernelTest, InertFaultModelTraceBitIdenticalToClean) {
+TEST_F(FaultKernelTest, InertFaultModelTraceBitIdenticalToClean) {
   // A configured slowdown that never activates (enter probability 0) runs
   // the whole injection path — BeginRound, per-request DelayFor, rate
   // multipliers — yet must not perturb the main stream: full traces stay
@@ -596,7 +540,7 @@ TEST_P(FaultKernelTest, InertFaultModelTraceBitIdenticalToClean) {
   }
 }
 
-TEST_P(FaultKernelTest, ForcedSlowdownEpochShowsUpExactlyInTrace) {
+TEST_F(FaultKernelTest, ForcedSlowdownEpochShowsUpExactlyInTrace) {
   fault::MarkovSlowdownSpec slowdown;
   slowdown.per_request_probability = 1.0;
   slowdown.delay_min_s = 0.01;
@@ -652,7 +596,7 @@ TEST_P(FaultKernelTest, ForcedSlowdownEpochShowsUpExactlyInTrace) {
   }
 }
 
-TEST_P(FaultKernelTest, DiskFailedRoundsGlitchEveryStreamAndServeNothing) {
+TEST_F(FaultKernelTest, DiskFailedRoundsGlitchEveryStreamAndServeNothing) {
   fault::DiskFailureSpec failure;
   failure.fail_at_round = 5;
   failure.repair_after_rounds = 3;
@@ -704,12 +648,7 @@ TEST_P(FaultKernelTest, DiskFailedRoundsGlitchEveryStreamAndServeNothing) {
 // --------------------------------------------------------------------------
 // Deadline truncation accounting
 
-class TruncationKernelTest : public ::testing::TestWithParam<bool> {};
-
-INSTANTIATE_TEST_SUITE_P(BothKernels, TruncationKernelTest,
-                         ::testing::Bool());
-
-TEST_P(TruncationKernelTest, TruncatedTraceRespectsDeadlineAndInvariant) {
+TEST(TruncationKernelTest, TruncatedTraceRespectsDeadlineAndInvariant) {
   // Overloaded disk (far past the admissible limit) with disturbances and
   // a permanent slowdown, so the cut lands in varied phases.
   DisturbanceConfig tcal;
@@ -726,7 +665,6 @@ TEST_P(TruncationKernelTest, TruncatedTraceRespectsDeadlineAndInvariant) {
   obs::RoundTraceRecorder trace;
   SimulatorConfig config;
   config.seed = 101;
-  config.batched_kernel = GetParam();
   config.truncate_at_deadline = true;
   config.disturbance = tcal;
   config.faults.slowdowns.push_back(slowdown);
