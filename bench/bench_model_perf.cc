@@ -241,11 +241,12 @@ BENCHMARK(BM_ImportanceSampledErrorProbability)->Arg(24);
 // repair throttle's reconstruction reads (the rebuild target is sized to
 // never finish). This is the serving-path cost the degraded admission
 // bound (core::MaxStreamsByLateProbabilityDegraded) budgets for.
-void BM_DegradedRound(benchmark::State& state) {
+server::MediaServer DegradedArrayAtLimit(int per_disk_stream_limit,
+                                         obs::Registry* metrics) {
   server::MediaServerConfig config;
   config.num_disks = 3;
   config.round_length_s = bench::kRoundLengthS;
-  config.per_disk_stream_limit = static_cast<int>(state.range(0));
+  config.per_disk_stream_limit = per_disk_stream_limit;
   config.seed = 1;
   config.parity = true;
   fault::DiskFailureSpec failure;
@@ -257,18 +258,39 @@ void BM_DegradedRound(benchmark::State& state) {
   repair.total_stripes = int64_t{1} << 40;  // stays degraded forever
   repair.read_bytes = bench::kMeanSizeBytes;
   config.repair = repair;
+  config.metrics = metrics;
   auto server = server::MediaServer::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), config);
   ZS_CHECK(server.ok());
   for (int i = 0; i < server->max_streams(); ++i) {
     ZS_CHECK(server->OpenStream(bench::Table1Sizes()).ok());
   }
+  return *std::move(server);
+}
+
+void BM_DegradedRound(benchmark::State& state) {
+  server::MediaServer server =
+      DegradedArrayAtLimit(static_cast<int>(state.range(0)), nullptr);
   for (auto _ : state) {
-    server->RunRound();
-    benchmark::DoNotOptimize(server->current_round());
+    server.RunRound();
+    benchmark::DoNotOptimize(server.current_round());
   }
 }
 BENCHMARK(BM_DegradedRound)->Arg(13);
+
+// The same degraded round with an obs::Registry attached: the delta
+// against BM_DegradedRound is the array round's metrics cost, the
+// MediaServer counterpart of BM_SimulatedRoundWithObs.
+void BM_DegradedRoundWithObs(benchmark::State& state) {
+  obs::Registry registry;
+  server::MediaServer server =
+      DegradedArrayAtLimit(static_cast<int>(state.range(0)), &registry);
+  for (auto _ : state) {
+    server.RunRound();
+    benchmark::DoNotOptimize(server.current_round());
+  }
+}
+BENCHMARK(BM_DegradedRoundWithObs)->Arg(13);
 
 // The flattened lock-free table probe (core::AdmissionTableSnapshot) on
 // the same 4-row table as BM_AdmissionTableLookup. The pair bounds what

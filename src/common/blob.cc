@@ -8,28 +8,52 @@ namespace zonestream::common {
 
 namespace {
 
-// CRC-64/XZ table, built once (reflected polynomial).
+// CRC-64/XZ (reflected polynomial), slice-by-8: kTables[0] is the
+// classic one-byte table, and kTables[k][i] is kTables[0][i] carried
+// through k more zero bytes, so eight lookups fold in one 64-bit word.
 constexpr uint64_t kCrc64Poly = 0xC96C5795D7870F42ULL;
 
-std::array<uint64_t, 256> BuildCrc64Table() {
-  std::array<uint64_t, 256> table{};
+using Crc64Tables = std::array<std::array<uint64_t, 256>, 8>;
+
+Crc64Tables BuildCrc64Tables() {
+  Crc64Tables tables{};
   for (uint64_t i = 0; i < 256; ++i) {
     uint64_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1) ? (crc >> 1) ^ kCrc64Poly : crc >> 1;
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      const uint64_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFF] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
 }  // namespace
 
 uint64_t Crc64(std::string_view data) {
-  static const std::array<uint64_t, 256> kTable = BuildCrc64Table();
+  static const Crc64Tables kTables = BuildCrc64Tables();
+  const char* p = data.data();
+  size_t n = data.size();
   uint64_t crc = ~0ULL;
-  for (const char c : data) {
-    crc = kTable[(crc ^ static_cast<uint8_t>(c)) & 0xFF] ^ (crc >> 8);
+  // Word loads assume the first byte is the low-order one.
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; p += 8, n -= 8) {
+      uint64_t word;
+      std::memcpy(&word, p, sizeof(word));
+      crc ^= word;
+      crc = kTables[7][crc & 0xFF] ^ kTables[6][(crc >> 8) & 0xFF] ^
+            kTables[5][(crc >> 16) & 0xFF] ^ kTables[4][(crc >> 24) & 0xFF] ^
+            kTables[3][(crc >> 32) & 0xFF] ^ kTables[2][(crc >> 40) & 0xFF] ^
+            kTables[1][(crc >> 48) & 0xFF] ^ kTables[0][crc >> 56];
+    }
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kTables[0][(crc ^ static_cast<uint8_t>(*p)) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -1,6 +1,7 @@
 #include "numeric/mt19937_64.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -74,20 +75,24 @@ void Mt19937_64::AdvanceRaw(size_t k) {
   // p_ == kN exactly: leave it; the next draw rolls the block lazily.
 }
 
-std::ostream& operator<<(std::ostream& os, const Mt19937_64& e) {
-  // libstdc++'s format: dec, space-separated, x[0..311] then the
-  // position. Saved/restored flags keep the caller's stream unharmed.
-  const auto flags = os.flags();
-  const auto fill = os.fill();
-  os.flags(std::ios_base::dec | std::ios_base::left);
-  os.fill(os.widen(' '));
-  for (size_t i = 0; i < Mt19937_64::kN; ++i) {
-    os << e.x_[i] << os.fill();
+std::string Mt19937_64::StateText() const {
+  // libstdc++'s format: decimal, x[0..311] then the position, each
+  // followed by one space except the last.
+  constexpr size_t kMaxWordChars = 20;  // digits of 2^64 - 1
+  std::string text((kN + 1) * (kMaxWordChars + 1), '\0');
+  char* out = text.data();
+  char* const end = out + text.size();
+  for (size_t i = 0; i < kN; ++i) {
+    out = std::to_chars(out, end, x_[i]).ptr;
+    *out++ = ' ';
   }
-  os << e.p_;
-  os.flags(flags);
-  os.fill(fill);
-  return os;
+  out = std::to_chars(out, end, p_).ptr;
+  text.resize(static_cast<size_t>(out - text.data()));
+  return text;
+}
+
+std::ostream& operator<<(std::ostream& os, const Mt19937_64& e) {
+  return os << e.StateText();
 }
 
 std::istream& operator>>(std::istream& is, Mt19937_64& e) {

@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 
 namespace zonestream::numeric {
 
@@ -85,6 +86,8 @@ class Mt19937_64 {
   // Textual serialization in the exact format libstdc++ uses for
   // std::mt19937_64 (312 decimal words and the position, single-space
   // separated), so snapshots interchange between the two engines.
+  // StateText builds it in one string; operator<< writes the same text.
+  std::string StateText() const;
   friend std::ostream& operator<<(std::ostream& os, const Mt19937_64& e);
   friend std::istream& operator>>(std::istream& is, Mt19937_64& e);
 

@@ -68,11 +68,7 @@ double Rng::Exponential(double mean) {
   return dist(engine_);
 }
 
-std::string Rng::SaveState() const {
-  std::ostringstream out;
-  out << engine_;
-  return out.str();
-}
+std::string Rng::SaveState() const { return engine_.StateText(); }
 
 common::Status Rng::LoadState(const std::string& state) {
   std::istringstream in(state);

@@ -102,6 +102,34 @@ MediaServer::MediaServer(
       batch_scratch_(config.num_disks),
       round_failed_(config.num_disks, 0) {
   if (config_.parity) parity_striping_.emplace(config_.num_disks);
+  if (obs::Registry* registry = config_.metrics; registry != nullptr) {
+    Metrics& m = metrics_.emplace();
+    m.rounds = registry->GetCounter("server.rounds");
+    m.requests = registry->GetCounter("server.requests");
+    m.glitches = registry->GetCounter("server.glitches");
+    m.overruns = registry->GetCounter("server.overruns");
+    m.service_time_s = registry->GetHistogram("server.disk.service_time_s");
+    m.utilization = registry->GetHistogram("server.disk.utilization");
+    m.accepted = registry->GetCounter("server.admission.accepted");
+    m.rejected = registry->GetCounter("server.admission.rejected");
+    m.rejected_degraded =
+        registry->GetCounter("server.admission.rejected_degraded");
+    m.active_streams = registry->GetGauge("server.active_streams");
+    m.streams_closed = registry->GetCounter("server.streams.closed");
+    m.streams_shed = registry->GetCounter("server.streams.shed");
+    m.fragments_retried = registry->GetCounter("server.fragments.retried");
+    m.fragments_dropped = registry->GetCounter("server.fragments.dropped");
+    m.repair_reads = registry->GetCounter("server.repair.reads");
+    m.reconstruction_reads =
+        registry->GetCounter("server.repair.reconstruction_reads");
+    m.reconstructed_fragments =
+        registry->GetCounter("server.repair.reconstructed_fragments");
+    m.repair_read_glitches =
+        registry->GetCounter("server.repair.read_glitches");
+    m.rounds_degraded = registry->GetCounter("server.repair.rounds_degraded");
+    m.repair_disk_time_s =
+        registry->GetHistogram("server.repair.disk_time_s");
+  }
   if (config_.repair.has_value()) {
     repair_ =
         std::make_unique<RepairController>(*config_.repair, config_.metrics);
@@ -191,10 +219,7 @@ common::StatusOr<int> MediaServer::OpenStream(
         "priority_class must be non-negative");
   }
   if (!admissions_open_) {
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("server.admission.rejected_degraded")
-          ->Increment();
-    }
+    if (metrics_) metrics_->rejected_degraded->Increment();
     return common::Status::ResourceExhausted(
         "admission control: server is degraded, admissions closed");
   }
@@ -207,9 +232,7 @@ common::StatusOr<int> MediaServer::OpenStream(
     if (phase_counts_[p] < phase_counts_[phase]) phase = p;
   }
   if (phase_counts_[phase] >= EffectivePhaseLimit()) {
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("server.admission.rejected")->Increment();
-    }
+    if (metrics_) metrics_->rejected->Increment();
     return common::Status::ResourceExhausted(
         "admission control: server is at its stream limit");
   }
@@ -220,10 +243,9 @@ common::StatusOr<int> MediaServer::OpenStream(
   const int id = static_cast<int>(next_stream_id_++);
   streams_.emplace(id, std::move(state));
   ++phase_counts_[phase];
-  if (config_.metrics != nullptr) {
-    config_.metrics->GetCounter("server.admission.accepted")->Increment();
-    config_.metrics->GetGauge("server.active_streams")
-        ->Set(static_cast<double>(streams_.size()));
+  if (metrics_) {
+    metrics_->accepted->Increment();
+    metrics_->active_streams->Set(static_cast<double>(streams_.size()));
   }
   return id;
 }
@@ -235,10 +257,9 @@ common::Status MediaServer::CloseStream(int stream_id) {
   }
   --phase_counts_[it->second.phase];
   streams_.erase(it);
-  if (config_.metrics != nullptr) {
-    config_.metrics->GetCounter("server.streams.closed")->Increment();
-    config_.metrics->GetGauge("server.active_streams")
-        ->Set(static_cast<double>(streams_.size()));
+  if (metrics_) {
+    metrics_->streams_closed->Increment();
+    metrics_->active_streams->Set(static_cast<double>(streams_.size()));
   }
   return common::Status::Ok();
 }
@@ -256,18 +277,14 @@ void MediaServer::RecordGlitch(int stream_id, double fragment_bytes) {
     stream.retry_attempts++;
     stream.stats.retries++;
     fragments_retried_++;
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("server.fragments.retried")->Increment();
-    }
+    if (metrics_) metrics_->fragments_retried->Increment();
   } else {
     // Retry budget exhausted: drop the fragment and move on.
     stream.retry_bytes = -1.0;
     stream.retry_attempts = 0;
     stream.stats.drops++;
     fragments_dropped_++;
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("server.fragments.dropped")->Increment();
-    }
+    if (metrics_) metrics_->fragments_dropped->Increment();
   }
 }
 
@@ -278,16 +295,19 @@ void MediaServer::DiskBatch::Clear() {
   bytes.clear();
   rate_bps.clear();
   rotation_s.clear();
+  recon.clear();
 }
 
 void MediaServer::DiskBatch::Add(int id, const disk::DiskPosition& position,
-                                 double fragment_bytes, double rotation) {
+                                 double fragment_bytes, double rotation,
+                                 int recon_slot) {
   stream_id.push_back(id);
   cylinder.push_back(position.cylinder);
   zone.push_back(position.zone);
   bytes.push_back(fragment_bytes);
   rate_bps.push_back(position.transfer_rate_bps);
   rotation_s.push_back(rotation);
+  recon.push_back(recon_slot);
 }
 
 void MediaServer::RunRound() {
@@ -343,11 +363,12 @@ void MediaServer::RunRound() {
   std::vector<DiskBatch>& batches = batch_scratch_;
   for (DiskBatch& batch : batches) batch.Clear();
   recon_scratch_.clear();
-  const auto emit = [&](int disk, int stream_id, double bytes) {
+  const auto emit = [&](int disk, int stream_id, double bytes,
+                        int recon_slot) {
     const disk::DiskPosition position = geometry_.SampleUniformPosition(&rng_);
     const double rotation_s = rng_.Uniform(0.0, geometry_.rotation_time());
     batches[static_cast<size_t>(disk)].Add(stream_id, position, bytes,
-                                           rotation_s);
+                                           rotation_s, recon_slot);
   };
   for (auto& [id, stream] : streams_) {
     if (!config_.parity) {
@@ -370,7 +391,7 @@ void MediaServer::RunRound() {
         stream.retry_attempts = 0;
       }
       const double rotation_s = rng_.Uniform(0.0, geometry_.rotation_time());
-      batches[disk_index].Add(id, position, bytes, rotation_s);
+      batches[disk_index].Add(id, position, bytes, rotation_s, -1);
       stream.stats.rounds_served++;
       continue;
     }
@@ -388,28 +409,28 @@ void MediaServer::RunRound() {
       stream.retry_attempts = 0;
     }
     if (round_failed_[static_cast<size_t>(home_disk)] == 0) {
-      emit(home_disk, id, bytes);
+      emit(home_disk, id, bytes, -1);
     } else if (failed_count == 1) {
       // Degraded read: reconstruct the lost unit from the stripe row's
       // D-1 survivors. The fragment's fate is resolved after all sweeps
       // (on time only if every reconstruction read is).
+      const int slot = static_cast<int>(recon_scratch_.size());
       for (int d = 0; d < config_.num_disks; ++d) {
         if (d == home_disk) continue;
-        emit(d, id, bytes);
+        emit(d, id, bytes, slot);
       }
-      recon_scratch_.emplace(id, ReconOutcome{bytes, false});
+      recon_scratch_.push_back(ReconOutcome{id, bytes, false});
     } else {
       // Two or more disks down: reconstruction is impossible, so the
       // fragment rides the failed home disk's batch and glitches through
       // the standard disk-failed retry/drop path.
-      emit(home_disk, id, bytes);
+      emit(home_disk, id, bytes, -1);
     }
     stream.stats.rounds_served++;
   }
-  if (!recon_scratch_.empty() && config_.metrics != nullptr) {
-    config_.metrics->GetCounter("server.repair.reconstruction_reads")
-        ->Increment(static_cast<int64_t>(recon_scratch_.size()) *
-                    (config_.num_disks - 1));
+  if (!recon_scratch_.empty() && metrics_) {
+    metrics_->reconstruction_reads->Increment(
+        static_cast<int64_t>(recon_scratch_.size()) * (config_.num_disks - 1));
   }
 
   // Repair-as-a-workload: claim this round's throttled stripe-rebuild
@@ -424,13 +445,12 @@ void MediaServer::RunRound() {
     for (int j = 0; j < repair_jobs; ++j) {
       for (int d = 0; d < config_.num_disks; ++d) {
         if (d == failed_disk) continue;
-        emit(d, kRepairStreamIdBase - j, repair_->policy().read_bytes);
+        emit(d, kRepairStreamIdBase - j, repair_->policy().read_bytes, -1);
       }
     }
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("server.repair.reads")
-          ->Increment(static_cast<int64_t>(repair_jobs) *
-                      (config_.num_disks - 1));
+    if (metrics_) {
+      metrics_->repair_reads->Increment(static_cast<int64_t>(repair_jobs) *
+                                        (config_.num_disks - 1));
     }
   }
 
@@ -473,12 +493,11 @@ void MediaServer::RunRound() {
       }
       busy_fraction_[d].Add(0.0);
       ascending_[d] = !ascending_[d];
-      if (config_.metrics != nullptr) {
-        obs::Registry* registry = config_.metrics;
-        registry->GetCounter("server.requests")->Increment(n);
-        registry->GetCounter("server.glitches")->Increment(n);
-        registry->GetHistogram("server.disk.service_time_s")->Record(0.0);
-        registry->GetHistogram("server.disk.utilization")->Record(0.0);
+      if (metrics_) {
+        metrics_->requests->Increment(n);
+        metrics_->glitches->Increment(n);
+        metrics_->service_time_s->Record(0.0);
+        metrics_->utilization->Record(0.0);
       }
       if (config_.trace != nullptr) {
         obs::RoundTraceEvent event;
@@ -512,8 +531,8 @@ void MediaServer::RunRound() {
     busy_fraction_[d].Add(std::fmin(service_time_s, config_.round_length_s) /
                           config_.round_length_s);
 
-    // Classify each served request by stream id: repair reads, degraded
-    // reconstruction reads and ordinary stream reads.
+    // Classify each served request: repair reads (negative stream id),
+    // degraded reconstruction reads (a recon slot) and ordinary reads.
     int disk_glitches = 0;       // late stream requests (trace/metrics)
     int disk_repair_reads = 0;
     double repair_busy_s = 0.0;  // repair share of this disk's sweep
@@ -533,34 +552,32 @@ void MediaServer::RunRound() {
         }
         continue;
       }
+      const int recon = batch.recon[i];
       if (late) {
         ++disk_glitches;
-        const auto recon = recon_scratch_.find(stream_id);
-        if (recon != recon_scratch_.end()) {
+        if (recon >= 0) {
           // One late reconstruction read spoils the whole fragment; the
           // ledger entry is charged once, after all sweeps.
-          recon->second.late = true;
+          recon_scratch_[static_cast<size_t>(recon)].late = true;
         } else {
           ++round_glitches;
           RecordGlitch(stream_id, batch.bytes[i]);
         }
-      } else if (recon_scratch_.empty() ||
-                 recon_scratch_.find(stream_id) == recon_scratch_.end()) {
+      } else if (recon < 0) {
         fragments_served_++;
       }
     }
     if (service_time_s > config_.round_length_s) round_overran = true;
     arm_cylinder_[d] = sweep.final_arm_cylinder;
     ascending_[d] = !ascending_[d];
-    if (disk_repair_reads > 0 && config_.metrics != nullptr) {
-      config_.metrics->GetHistogram("server.repair.disk_time_s")
-          ->Record(repair_busy_s);
+    if (disk_repair_reads > 0 && metrics_) {
+      metrics_->repair_disk_time_s->Record(repair_busy_s);
     }
 
     // Observability: per-(round, disk) metrics and one trace event with
     // source_id = disk index. Injected fault delays ride in the rotation
     // slot, so they are subtracted back out of the rotation component.
-    if (config_.metrics != nullptr || config_.trace != nullptr) {
+    if (metrics_ || config_.trace != nullptr) {
       double seek_sum = 0.0;
       double rotation_sum = 0.0;
       double transfer_sum = 0.0;
@@ -571,18 +588,16 @@ void MediaServer::RunRound() {
         transfer_sum += batch.transfer_s[i];
       }
       rotation_sum -= fault_delay_s;
-      if (config_.metrics != nullptr) {
-        obs::Registry* registry = config_.metrics;
-        registry->GetCounter("server.requests")->Increment(n);
-        registry->GetCounter("server.glitches")->Increment(disk_glitches);
+      if (metrics_) {
+        metrics_->requests->Increment(n);
+        metrics_->glitches->Increment(disk_glitches);
         if (service_time_s > config_.round_length_s) {
-          registry->GetCounter("server.overruns")->Increment();
+          metrics_->overruns->Increment();
         }
-        registry->GetHistogram("server.disk.service_time_s")
-            ->Record(service_time_s);
-        registry->GetHistogram("server.disk.utilization")
-            ->Record(std::fmin(service_time_s, config_.round_length_s) /
-                     config_.round_length_s);
+        metrics_->service_time_s->Record(service_time_s);
+        metrics_->utilization->Record(
+            std::fmin(service_time_s, config_.round_length_s) /
+            config_.round_length_s);
       }
       if (config_.trace != nullptr) {
         obs::RoundTraceEvent event;
@@ -607,17 +622,14 @@ void MediaServer::RunRound() {
   }
   // Resolve degraded fragments: on time only if every surviving disk's
   // reconstruction read met the deadline.
-  for (const auto& [id, outcome] : recon_scratch_) {
+  for (const ReconOutcome& outcome : recon_scratch_) {
     if (outcome.late) {
       ++round_glitches;
-      RecordGlitch(id, outcome.bytes);
+      RecordGlitch(outcome.stream_id, outcome.bytes);
     } else {
       fragments_served_++;
       reconstructed_fragments_++;
-      if (config_.metrics != nullptr) {
-        config_.metrics->GetCounter("server.repair.reconstructed_fragments")
-            ->Increment();
-      }
+      if (metrics_) metrics_->reconstructed_fragments->Increment();
     }
   }
 
@@ -625,9 +637,8 @@ void MediaServer::RunRound() {
   // of its reconstruction reads were on time; incomplete jobs need no
   // carry state — later rounds simply claim those stripes again.
   if (repair_jobs > 0) {
-    if (repair_reads_late > 0 && config_.metrics != nullptr) {
-      config_.metrics->GetCounter("server.repair.read_glitches")
-          ->Increment(repair_reads_late);
+    if (repair_reads_late > 0 && metrics_) {
+      metrics_->repair_read_glitches->Increment(repair_reads_late);
     }
     int completed = 0;
     for (const uint8_t late : repair_job_late_) {
@@ -652,15 +663,10 @@ void MediaServer::RunRound() {
   }
   if (config_.parity && failed_count > 0) {
     rounds_degraded_++;
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("server.repair.rounds_degraded")
-          ->Increment();
-    }
+    if (metrics_) metrics_->rounds_degraded->Increment();
   }
 
-  if (config_.metrics != nullptr) {
-    config_.metrics->GetCounter("server.rounds")->Increment();
-  }
+  if (metrics_) metrics_->rounds->Increment();
   ++round_;
 
   // Degradation: feed the round's measurements to the controller and
@@ -691,9 +697,7 @@ void MediaServer::ShedStreams(int count) {
   for (int i = 0; i < to_shed; ++i) {
     ZS_CHECK(CloseStream(candidates[static_cast<size_t>(i)].second).ok());
     streams_shed_++;
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("server.streams.shed")->Increment();
-    }
+    if (metrics_) metrics_->streams_shed->Increment();
   }
 }
 
@@ -716,9 +720,7 @@ void MediaServer::ShedToDegradedLimit() {
     for (int i = 0; i < excess; ++i) {
       ZS_CHECK(CloseStream(candidates[static_cast<size_t>(i)].second).ok());
       streams_shed_++;
-      if (config_.metrics != nullptr) {
-        config_.metrics->GetCounter("server.streams.shed")->Increment();
-      }
+      if (metrics_) metrics_->streams_shed->Increment();
     }
   }
 }

@@ -111,7 +111,8 @@ struct MediaServerConfig {
 
   // Optional observability hooks (not owned; null = disabled). Metrics
   // land under the "server." prefix (admission decisions, per-round disk
-  // service times, glitches); `trace` receives one obs::RoundTraceEvent
+  // service times, glitches) and are all registered, at zero, when the
+  // server is created; `trace` receives one obs::RoundTraceEvent
   // per (round, disk) with source_id = disk index. Names are listed in
   // docs/OBSERVABILITY.md.
   obs::Registry* metrics = nullptr;
@@ -414,6 +415,32 @@ class MediaServer {
   int64_t fragments_dropped_ = 0;
   int64_t streams_shed_ = 0;
   std::vector<numeric::RunningStats> busy_fraction_;
+  // Handles for the "server." metrics, resolved once at construction so
+  // the round bumps pointers instead of looking names up (empty when
+  // config_.metrics is null).
+  struct Metrics {
+    obs::Counter* rounds = nullptr;
+    obs::Counter* requests = nullptr;
+    obs::Counter* glitches = nullptr;
+    obs::Counter* overruns = nullptr;
+    obs::Histogram* service_time_s = nullptr;
+    obs::Histogram* utilization = nullptr;
+    obs::Counter* accepted = nullptr;
+    obs::Counter* rejected = nullptr;
+    obs::Counter* rejected_degraded = nullptr;
+    obs::Gauge* active_streams = nullptr;
+    obs::Counter* streams_closed = nullptr;
+    obs::Counter* streams_shed = nullptr;
+    obs::Counter* fragments_retried = nullptr;
+    obs::Counter* fragments_dropped = nullptr;
+    obs::Counter* repair_reads = nullptr;
+    obs::Counter* reconstruction_reads = nullptr;
+    obs::Counter* reconstructed_fragments = nullptr;
+    obs::Counter* repair_read_glitches = nullptr;
+    obs::Counter* rounds_degraded = nullptr;
+    obs::Histogram* repair_disk_time_s = nullptr;
+  };
+  std::optional<Metrics> metrics_;
   // One disk's request batch for the round: structure-of-arrays in issue
   // order, the round kernel's input (sim/round_kernel.h).
   struct DiskBatch {
@@ -424,10 +451,13 @@ class MediaServer {
     std::vector<double> rate_bps;
     std::vector<double> rotation_s;  // rotational latency + fault delay
     std::vector<double> transfer_s;  // filled just before the sweep
+    // Slot in recon_scratch_ of the degraded fragment this request is a
+    // reconstruction read for; -1 for ordinary stream and repair reads.
+    std::vector<int> recon;
     int size() const { return static_cast<int>(stream_id.size()); }
     void Clear();
     void Add(int id, const disk::DiskPosition& position,
-             double fragment_bytes, double rotation);
+             double fragment_bytes, double rotation, int recon_slot);
   };
   // Per-disk batches and the sweep result, cleared (capacity kept) and
   // refilled each round instead of reallocated.
@@ -435,10 +465,13 @@ class MediaServer {
   sim::RoundSweep sweep_scratch_;
   // Per-round scratch for the degraded/repair paths (empty otherwise).
   struct ReconOutcome {
+    int stream_id = 0;
     double bytes = 0.0;
     bool late = false;
   };
-  std::map<int, ReconOutcome> recon_scratch_;  // fanned-out stream -> fate
+  // One entry per fanned-out fragment, in stream-id order (the order
+  // streams_ is walked), so resolving them keeps the ledger order.
+  std::vector<ReconOutcome> recon_scratch_;
   std::vector<uint8_t> round_failed_;          // this round's failure census
   std::vector<uint8_t> repair_job_late_;       // per claimed rebuild job
 };

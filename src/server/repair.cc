@@ -25,7 +25,17 @@ common::Status ValidateRepairPolicy(const RepairPolicy& policy) {
 
 RepairController::RepairController(const RepairPolicy& policy,
                                    obs::Registry* metrics)
-    : policy_(policy), metrics_(metrics) {
+    : policy_(policy) {
+  if (metrics != nullptr) {
+    Metrics& m = metrics_.emplace();
+    m.active = metrics->GetGauge("server.repair.active");
+    m.target_disk = metrics->GetGauge("server.repair.target_disk");
+    m.eta_rounds = metrics->GetGauge("server.repair.eta_rounds");
+    m.cancelled = metrics->GetCounter("server.repair.cancelled");
+    m.stripes_rebuilt = metrics->GetCounter("server.repair.stripes_rebuilt");
+    m.bytes_rebuilt = metrics->GetCounter("server.repair.bytes_rebuilt");
+    m.completed = metrics->GetCounter("server.repair.completed");
+  }
   PublishGauges();
 }
 
@@ -49,9 +59,7 @@ void RepairController::Cancel() {
   active_ = false;
   target_disk_ = -1;
   stripes_rebuilt_ = 0;
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("server.repair.cancelled")->Increment();
-  }
+  if (metrics_) metrics_->cancelled->Increment();
   PublishGauges();
 }
 
@@ -71,18 +79,15 @@ bool RepairController::RecordRoundOutcome(int completed) {
   if (stripes_rebuilt_ > policy_.total_stripes) {
     stripes_rebuilt_ = policy_.total_stripes;
   }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("server.repair.stripes_rebuilt")->Increment(completed);
-    metrics_->GetCounter("server.repair.bytes_rebuilt")
-        ->Increment(static_cast<int64_t>(
-            static_cast<double>(completed) * policy_.read_bytes));
+  if (metrics_) {
+    metrics_->stripes_rebuilt->Increment(completed);
+    metrics_->bytes_rebuilt->Increment(static_cast<int64_t>(
+        static_cast<double>(completed) * policy_.read_bytes));
   }
   const bool finished = stripes_rebuilt_ >= policy_.total_stripes;
   if (finished) {
     active_ = false;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("server.repair.completed")->Increment();
-    }
+    if (metrics_) metrics_->completed->Increment();
   }
   PublishGauges();
   return finished;
@@ -117,12 +122,10 @@ common::Status RepairController::ImportState(
 }
 
 void RepairController::PublishGauges() {
-  if (metrics_ == nullptr) return;
-  metrics_->GetGauge("server.repair.active")->Set(active_ ? 1.0 : 0.0);
-  metrics_->GetGauge("server.repair.target_disk")
-      ->Set(static_cast<double>(target_disk_));
-  metrics_->GetGauge("server.repair.eta_rounds")
-      ->Set(static_cast<double>(EtaRounds()));
+  if (!metrics_) return;
+  metrics_->active->Set(active_ ? 1.0 : 0.0);
+  metrics_->target_disk->Set(static_cast<double>(target_disk_));
+  metrics_->eta_rounds->Set(static_cast<double>(EtaRounds()));
 }
 
 }  // namespace zonestream::server

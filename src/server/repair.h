@@ -20,6 +20,7 @@
 #define ZONESTREAM_SERVER_REPAIR_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -57,7 +58,8 @@ class RepairController {
  public:
   // `metrics` may be null; when present the controller publishes
   // server.repair.active / .target_disk / .eta_rounds gauges and
-  // server.repair.{stripes_rebuilt,completed,cancelled} counters.
+  // server.repair.{stripes_rebuilt,bytes_rebuilt,completed,cancelled}
+  // counters, all registered here (at zero) and resolved once.
   RepairController(const RepairPolicy& policy, obs::Registry* metrics);
 
   const RepairPolicy& policy() const { return policy_; }
@@ -96,8 +98,18 @@ class RepairController {
  private:
   void PublishGauges();
 
+  struct Metrics {
+    obs::Gauge* active = nullptr;
+    obs::Gauge* target_disk = nullptr;
+    obs::Gauge* eta_rounds = nullptr;
+    obs::Counter* cancelled = nullptr;
+    obs::Counter* stripes_rebuilt = nullptr;
+    obs::Counter* bytes_rebuilt = nullptr;
+    obs::Counter* completed = nullptr;
+  };
+
   RepairPolicy policy_;
-  obs::Registry* metrics_;
+  std::optional<Metrics> metrics_;  // empty when constructed without one
   bool active_ = false;
   int target_disk_ = -1;
   int64_t stripes_rebuilt_ = 0;

@@ -1,6 +1,8 @@
 #include "numeric/random.h"
 
 #include <cmath>
+#include <random>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -44,6 +46,23 @@ TEST(RngTest, SaveStateLoadStateResumesBitIdentically) {
     EXPECT_EQ(original.Uniform01(), restored.Uniform01()) << i;
     EXPECT_EQ(original.Gamma(0.7, 2.0), restored.Gamma(0.7, 2.0)) << i;
     EXPECT_EQ(original.UniformIndex(1000), restored.UniformIndex(1000)) << i;
+  }
+}
+
+TEST(RngTest, SaveStateMatchesStdEngineText) {
+  // SaveState formats the engine itself; its bytes must stay those of
+  // std::mt19937_64's operator<< so snapshots interchange with it. Cover
+  // a fresh engine, mid-block positions and the exact block boundaries.
+  for (const int draws : {0, 1, 100, 311, 312, 313, 624, 1000}) {
+    Rng rng(4242);
+    std::mt19937_64 reference(4242);
+    for (int i = 0; i < draws; ++i) {
+      rng.engine()();
+      reference();
+    }
+    std::ostringstream expected;
+    expected << reference;
+    EXPECT_EQ(rng.SaveState(), expected.str()) << "after " << draws;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -640,6 +641,53 @@ TEST(MediaServerParityGoldenTest, RebuildScenarioMetricsArePinned) {
       registry.GetCounter("server.repair.reconstruction_reads")->value(), 24);
   EXPECT_EQ(registry.GetCounter("server.repair.read_glitches")->value(), 0);
   EXPECT_EQ(registry.GetCounter("server.repair.rounds_degraded")->value(), 5);
+}
+
+// Every "server." metric is registered, at zero, when the server is
+// created: the round only bumps handles resolved then, so running through
+// admissions, a failure, the degraded shed and a whole rebuild must never
+// add a name to the registry.
+
+std::set<std::string> RegisteredNames(const obs::Registry& registry) {
+  const obs::RegistrySnapshot snapshot = registry.Snapshot();
+  std::set<std::string> names;
+  for (const auto& entry : snapshot.counters) names.insert(entry.first);
+  for (const auto& entry : snapshot.gauges) names.insert(entry.first);
+  for (const auto& entry : snapshot.histograms) names.insert(entry.first);
+  return names;
+}
+
+TEST(MediaServerParityTest, MetricNamesAreAllRegisteredAtCreate) {
+  MediaServerConfig config = ParityConfig(3, 4, /*seed=*/42);
+  config.degraded_per_disk_stream_limit = 3;
+  fault::DiskFailureSpec failure;
+  failure.fail_at_round = 5;  // permanent
+  config.faults.disk_failures.push_back(failure);
+  config.fault_disk = 1;
+  config.repair = RepairPolicy{2, 10, 200e3};
+  obs::Registry registry;
+  config.metrics = &registry;
+  MediaServer server = MakeParityServer(config);
+  const std::set<std::string> at_create = RegisteredNames(registry);
+  EXPECT_EQ(at_create.count("server.rounds"), 1u);
+  EXPECT_EQ(at_create.count("server.repair.disk_time_s"), 1u);
+  EXPECT_EQ(at_create.count("server.repair.completed"), 1u);
+  EXPECT_EQ(registry.GetCounter("server.repair.completed")->value(), 0);
+
+  int last_id = -1;
+  for (int i = 0; i < 8; ++i) {
+    auto id = server.OpenStream(Table1Sizes());
+    ASSERT_TRUE(id.ok());
+    last_id = *id;
+  }
+  EXPECT_FALSE(server.OpenStream(Table1Sizes()).ok());  // at the limit
+  ASSERT_TRUE(server.CloseStream(last_id).ok());
+  ASSERT_TRUE(server.OpenStream(Table1Sizes()).ok());
+  server.RunRounds(20);
+  ASSERT_TRUE(server.spare_active(1));  // failed, degraded, rebuilt
+  EXPECT_GT(server.GetServerStats().streams_shed, 0);
+  EXPECT_EQ(registry.GetCounter("server.repair.completed")->value(), 1);
+  EXPECT_EQ(RegisteredNames(registry), at_create);
 }
 
 }  // namespace
