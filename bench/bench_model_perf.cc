@@ -85,23 +85,6 @@ void BM_AdmissionTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_AdmissionTableBuild);
 
-// Baseline ablation for BM_AdmissionTableBuild: per-tolerance cold scans
-// (no shared warm scan, fresh Chernoff bracket at every (n, tolerance)).
-// The ratio of the two is the engine's warm-start speedup.
-void BM_AdmissionTableBuildCold(benchmark::State& state) {
-  const core::ServiceTimeModel model = bench::Table1Model();
-  core::AdmissionBuildOptions options;
-  options.warm_start = false;
-  for (auto _ : state) {
-    auto table = core::AdmissionTable::Build(
-        model, core::AdmissionCriterion::kGlitchRate, bench::kRoundLengthS,
-        {0.001, 0.01, 0.05, 0.1}, bench::kRoundsPerStream,
-        bench::kToleratedGlitches, options);
-    benchmark::DoNotOptimize(table.ok());
-  }
-}
-BENCHMARK(BM_AdmissionTableBuildCold);
-
 void BM_AdmissionTableLookup(benchmark::State& state) {
   const core::ServiceTimeModel model = bench::Table1Model();
   const auto table = core::AdmissionTable::Build(

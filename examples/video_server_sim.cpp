@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "common/blob.h"
 #include "common/table_printer.h"
 #include "core/admission.h"
 #include "core/glitch_model.h"
@@ -58,7 +59,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "recovery/blob.h"
 #include "recovery/checkpoint.h"
 #include "recovery/replay.h"
 #include "recovery/snapshot.h"
@@ -89,7 +89,7 @@ struct ChurnState {
 };
 
 std::string EncodeChurnState(const ChurnState& churn) {
-  recovery::BlobWriter out;
+  common::BlobWriter out;
   out.PutU32(kChurnSectionVersion);
   out.PutString(churn.rng.SaveState());
   out.PutI64(churn.next_round);
@@ -103,7 +103,7 @@ std::string EncodeChurnState(const ChurnState& churn) {
 
 common::Status DecodeChurnState(const std::string& payload,
                                 ChurnState* out) {
-  recovery::BlobReader in(payload);
+  common::BlobReader in(payload);
   const uint32_t version = in.TakeU32();
   if (in.ok() && version != kChurnSectionVersion) {
     return common::Status::InvalidArgument(
@@ -724,21 +724,19 @@ int main(int argc, char** argv) {
           fault::DegradationStateName(event.to) +
           "\",\"shed_streams\":" + std::to_string(event.shed_streams) +
           ",\"window_glitch_rate\":" +
-          std::to_string(event.window_glitch_rate) + "}";
+          obs::JsonDouble(event.window_glitch_rate) + "}";
     }
     degradation_json += "]";
     const std::string json = "{\"schema\":\"zonestream-metrics-v1\","
                              "\"degradation_events\":" + degradation_json +
                              ",\"metrics\":" +
                              obs::RegistryToJson(registry.Snapshot()) + "}\n";
-    std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   metrics_out.c_str());
+    const common::Status written = obs::WriteFile(metrics_out, json);
+    if (!written.ok()) {
+      std::fprintf(stderr, "cannot write metrics snapshot: %s\n",
+                   written.ToString().c_str());
       return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("\nWrote %zu metrics-snapshot bytes (%zu trace events "
                 "recorded) to %s\n",
                 json.size(), trace.size(), metrics_out.c_str());

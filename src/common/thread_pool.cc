@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -58,31 +57,8 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      --stats_.current_queue_depth;
-    }
     task();
   }
-}
-
-void ThreadPool::RunStatBlock(
-    const std::function<void(int64_t, int64_t)>& body, int64_t begin,
-    int64_t end) {
-  const auto start = std::chrono::steady_clock::now();
-  body(begin, end);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  std::shared_ptr<const BlockObserver> observer;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.blocks_executed;
-    stats_.total_block_time_s += elapsed;
-    if (elapsed > stats_.max_block_time_s) stats_.max_block_time_s = elapsed;
-    observer = observer_;
-  }
-  if (observer != nullptr && *observer) (*observer)(elapsed);
 }
 
 void ThreadPool::ParallelFor(int64_t count,
@@ -95,16 +71,12 @@ void ThreadPool::ParallelFor(int64_t count,
 void ThreadPool::ParallelForBlocks(
     int64_t count, const std::function<void(int64_t, int64_t)>& body) {
   if (count <= 0) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.parallel_loops;
-  }
   const int64_t threads = num_threads();
   if (threads == 1 || count == 1 || in_parallel_region) {
     const bool was_nested = in_parallel_region;
     in_parallel_region = true;
     try {
-      RunStatBlock(body, 0, count);
+      body(0, count);
     } catch (...) {
       in_parallel_region = was_nested;
       throw;
@@ -121,13 +93,12 @@ void ThreadPool::ParallelForBlocks(
   // Exception-safe block wrapper; the enclosing ParallelFor call outlives
   // every queued task (it waits on `state`), so capturing by reference
   // from the queued lambdas below is safe.
-  auto run_block = [this, &body](int64_t begin, int64_t end,
-                                 LoopState* loop) {
+  auto run_block = [&body](int64_t begin, int64_t end, LoopState* loop) {
     std::exception_ptr error;
     const bool was_nested = in_parallel_region;
     in_parallel_region = true;
     try {
-      RunStatBlock(body, begin, end);
+      body(begin, end);
     } catch (...) {
       error = std::current_exception();
     }
@@ -143,14 +114,6 @@ void ThreadPool::ParallelForBlocks(
         run_block(begin, end, state.get());
       });
     }
-    // Record the enqueue while still holding mutex_, so no worker can pop
-    // (and decrement) before the depth is accounted. Lock order is always
-    // mutex_ -> stats_mutex_; WorkerLoop takes them one at a time.
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    stats_.current_queue_depth += blocks - 1;
-    if (stats_.current_queue_depth > stats_.max_queue_depth) {
-      stats_.max_queue_depth = stats_.current_queue_depth;
-    }
   }
   work_available_.notify_all();
 
@@ -159,18 +122,6 @@ void ThreadPool::ParallelForBlocks(
   std::unique_lock<std::mutex> lock(state->mutex);
   state->done.wait(lock, [&state] { return state->pending == 0; });
   if (state->error != nullptr) std::rethrow_exception(state->error);
-}
-
-ThreadPoolStats ThreadPool::Stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
-void ThreadPool::SetBlockObserver(BlockObserver observer) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  observer_ = observer ? std::make_shared<const BlockObserver>(
-                             std::move(observer))
-                       : nullptr;
 }
 
 int ThreadPool::DefaultThreads() {

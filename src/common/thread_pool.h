@@ -16,24 +16,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace zonestream::common {
-
-// Cumulative execution statistics of a ThreadPool (see Stats()). A
-// "block" is one contiguous chunk of a ParallelFor partition — the unit a
-// thread executes; serial/nested loops count as a single block.
-struct ThreadPoolStats {
-  int64_t parallel_loops = 0;    // ParallelFor calls that ran iterations
-  int64_t blocks_executed = 0;   // blocks run (workers + calling thread)
-  int64_t current_queue_depth = 0;  // blocks queued but not yet started
-  int64_t max_queue_depth = 0;      // peak of current_queue_depth
-  double total_block_time_s = 0.0;  // summed block wall time
-  double max_block_time_s = 0.0;    // longest single block
-};
 
 // Fixed-size pool of worker threads. Thread-safe; one pool may serve
 // concurrent ParallelFor calls (each call blocks until its own iterations
@@ -76,34 +63,14 @@ class ThreadPool {
   // Lazily constructed process-wide pool with DefaultThreads() threads.
   static ThreadPool& Global();
 
-  // Snapshot of the cumulative execution statistics. Thread-safe; may be
-  // called while ParallelFor loops are in flight.
-  ThreadPoolStats Stats() const;
-
-  // Installs a hook invoked (outside all pool locks) with each block's
-  // wall time in seconds — obs::AttachThreadPoolMetrics uses this to feed
-  // a latency histogram. Pass nullptr to detach. The observer must be
-  // thread-safe; it runs on worker threads and on ParallelFor callers.
-  using BlockObserver = std::function<void(double block_seconds)>;
-  void SetBlockObserver(BlockObserver observer);
-
  private:
   void WorkerLoop();
-  // Times body(begin, end), updates stats, notifies the observer.
-  void RunStatBlock(const std::function<void(int64_t, int64_t)>& body,
-                    int64_t begin, int64_t end);
 
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
-
-  // Statistics and observer, guarded separately so Stats() and the
-  // per-block bookkeeping never contend with the work queue.
-  mutable std::mutex stats_mutex_;
-  ThreadPoolStats stats_;
-  std::shared_ptr<const BlockObserver> observer_;
 };
 
 // Convenience wrapper: runs body over [0, count) on `pool`, or on

@@ -177,38 +177,21 @@ common::StatusOr<AdmissionTable> AdmissionTable::Build(
   const ServiceTimeModel effective = model.WithSeekBound(options.seek_bound);
 
   std::vector<AdmissionTableRow> rows(tolerances.size());
-  if (options.warm_start) {
-    // Fast path: the per-n quality values are tolerance-independent, so
-    // ONE warm-started serial scan up to the loosest tolerance's break
-    // point serves every row. The per-tolerance derivation is then cheap
-    // and embarrassingly parallel — and bit-identical at every thread
-    // count, because each row is a pure function of the shared values.
-    LateBoundScan scan(&effective, t);
-    const std::vector<double> values =
-        ScanQualityValues(&scan, criterion, m, g, tolerances.back(),
-                          options.n_cap);
-    common::ParallelFor(
-        static_cast<int64_t>(tolerances.size()),
-        [&rows, &tolerances, &values](int64_t i) {
-          rows[i].tolerance = tolerances[i];
-          rows[i].n_max = LimitFromValues(values, tolerances[i]);
-        },
-        options.pool);
-  } else {
-    // Validation path: the pre-optimization algorithm — an independent
-    // cold-started scan per tolerance — parallelized across tolerances.
-    common::ParallelFor(
-        static_cast<int64_t>(tolerances.size()),
-        [&rows, &tolerances, &effective, criterion, t, m, g,
-         &options](int64_t i) {
-          LateBoundScan scan(&effective, t, /*warm_start=*/false);
-          const std::vector<double> values = ScanQualityValues(
-              &scan, criterion, m, g, tolerances[i], options.n_cap);
-          rows[i].tolerance = tolerances[i];
-          rows[i].n_max = LimitFromValues(values, tolerances[i]);
-        },
-        options.pool);
-  }
+  // The per-n quality values are tolerance-independent, so ONE
+  // warm-started serial scan up to the loosest tolerance's break point
+  // serves every row. The per-tolerance derivation is then cheap and
+  // embarrassingly parallel — and bit-identical at every thread count,
+  // because each row is a pure function of the shared values.
+  LateBoundScan scan(&effective, t);
+  const std::vector<double> values = ScanQualityValues(
+      &scan, criterion, m, g, tolerances.back(), options.n_cap);
+  common::ParallelFor(
+      static_cast<int64_t>(tolerances.size()),
+      [&rows, &tolerances, &values](int64_t i) {
+        rows[i].tolerance = tolerances[i];
+        rows[i].n_max = LimitFromValues(values, tolerances[i]);
+      },
+      options.pool);
   return AdmissionTable(criterion, t, std::move(rows));
 }
 

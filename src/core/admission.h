@@ -113,19 +113,13 @@ enum class AdmissionCriterion {
   kGlitchRate,       // bound p_error over a stream's lifetime (eq. 3.3.6)
 };
 
-// Tuning knobs for AdmissionTable::Build. The defaults give the fast
-// deterministic path; results are bit-identical at every thread count
-// because the per-n quality values are computed by one serial warm scan
-// and each tolerance's row is a pure function of those shared values.
+// Tuning knobs for AdmissionTable::Build. Results are bit-identical at
+// every thread count because the per-n quality values are computed by one
+// serial warm scan and each tolerance's row is a pure function of those
+// shared values.
 struct AdmissionBuildOptions {
   // Thread pool for the per-tolerance work; null uses the global pool.
   common::ThreadPool* pool = nullptr;
-  // Warm-started shared scan (default) vs. independent cold per-tolerance
-  // scans (the pre-optimization algorithm, kept for validation and
-  // benchmarking). The two agree to the Chernoff minimizer's tolerance
-  // (~1e-12 on the bounds), which yields identical integer rows except
-  // for tolerances sitting exactly on a bound value.
-  bool warm_start = true;
   // Upper limit on the candidate multiprogramming level.
   int n_cap = 4096;
   // Seek term charged by the scans: the paper's equidistant worst case

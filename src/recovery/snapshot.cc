@@ -3,11 +3,15 @@
 #include <utility>
 #include <vector>
 
-#include "recovery/blob.h"
+#include "common/blob.h"
 
 namespace zonestream::recovery {
 
 namespace {
+
+using common::BlobReader;
+using common::BlobWriter;
+using common::Crc64;
 
 // Section names interpreted by this library. Anything else round-trips
 // through Snapshot::app_sections.

@@ -113,75 +113,5 @@ TEST(ThreadPoolTest, ManySmallLoopsDrainCleanly) {
   }
 }
 
-TEST(ThreadPoolStatsTest, FreshPoolReportsZeros) {
-  ThreadPool pool(2);
-  const ThreadPoolStats stats = pool.Stats();
-  EXPECT_EQ(stats.parallel_loops, 0);
-  EXPECT_EQ(stats.blocks_executed, 0);
-  EXPECT_EQ(stats.current_queue_depth, 0);
-  EXPECT_EQ(stats.max_queue_depth, 0);
-  EXPECT_DOUBLE_EQ(stats.total_block_time_s, 0.0);
-}
-
-TEST(ThreadPoolStatsTest, CountsLoopsAndBlocks) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(100, [&sum](int64_t i) { sum += i; });
-  pool.ParallelFor(100, [&sum](int64_t i) { sum += i; });
-  const ThreadPoolStats stats = pool.Stats();
-  EXPECT_EQ(stats.parallel_loops, 2);
-  // Each loop partitions into num_threads() = 4 blocks.
-  EXPECT_EQ(stats.blocks_executed, 8);
-  EXPECT_EQ(stats.current_queue_depth, 0);  // drained
-  EXPECT_GE(stats.max_queue_depth, 1);      // workers' blocks were queued
-  EXPECT_GE(stats.total_block_time_s, 0.0);
-  EXPECT_GE(stats.max_block_time_s, 0.0);
-  EXPECT_LE(stats.max_block_time_s, stats.total_block_time_s + 1e-12);
-}
-
-TEST(ThreadPoolStatsTest, SerialLoopCountsOneBlock) {
-  ThreadPool pool(1);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(50, [&sum](int64_t i) { sum += i; });
-  const ThreadPoolStats stats = pool.Stats();
-  EXPECT_EQ(stats.parallel_loops, 1);
-  EXPECT_EQ(stats.blocks_executed, 1);
-  EXPECT_EQ(stats.max_queue_depth, 0);  // nothing is queued when serial
-}
-
-TEST(ThreadPoolStatsTest, EmptyLoopIsNotCounted) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](int64_t) {});
-  EXPECT_EQ(pool.Stats().parallel_loops, 0);
-}
-
-TEST(ThreadPoolObserverTest, ObserverSeesEveryBlock) {
-  ThreadPool pool(4);
-  std::atomic<int> blocks{0};
-  std::atomic<int> negative_durations{0};
-  pool.SetBlockObserver([&](double seconds) {
-    ++blocks;
-    if (seconds < 0.0) ++negative_durations;
-  });
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(100, [&sum](int64_t i) { sum += i; });
-  EXPECT_EQ(blocks.load(), 4);
-  EXPECT_EQ(negative_durations.load(), 0);
-
-  // Detaching stops the callbacks without affecting the pool.
-  pool.SetBlockObserver(nullptr);
-  pool.ParallelFor(100, [&sum](int64_t i) { sum += i; });
-  EXPECT_EQ(blocks.load(), 4);
-  EXPECT_EQ(sum.load(), 2 * 4950);
-}
-
-TEST(ThreadPoolObserverTest, ObserverDoesNotPerturbResults) {
-  ThreadPool pool(4);
-  pool.SetBlockObserver([](double) {});
-  std::vector<int> visits(1000, 0);
-  pool.ParallelFor(1000, [&visits](int64_t i) { ++visits[i]; });
-  for (int v : visits) EXPECT_EQ(v, 1);
-}
-
 }  // namespace
 }  // namespace zonestream::common

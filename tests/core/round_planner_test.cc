@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "disk/presets.h"
 
 namespace zonestream::core {
@@ -29,9 +30,6 @@ TEST(RoundPlannerTest, Validation) {
   EXPECT_FALSE(
       EvaluateRoundLength(viking, seek, VideoStream(), DefaultQos(), 0.0)
           .ok());
-  EXPECT_FALSE(MinimalRoundLengthForCapacity(viking, seek, VideoStream(),
-                                             DefaultQos(), 0)
-                   .ok());
   EXPECT_FALSE(
       SweepRoundLengths(viking, seek, VideoStream(), DefaultQos(), {}).ok());
 }
@@ -66,50 +64,27 @@ TEST(RoundPlannerTest, CapacityNonDecreasingInRoundLength) {
   }
 }
 
-TEST(RoundPlannerTest, MinimalRoundLengthHitsTarget) {
-  const disk::DiskGeometry viking = disk::QuantumViking2100();
-  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
-  const int target = 25;
-  const auto plan = MinimalRoundLengthForCapacity(viking, seek, VideoStream(),
-                                                  DefaultQos(), target);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_GE(plan->streams_per_disk, target);
-  // Minimality: a slightly shorter round must miss the target.
-  const auto shorter = EvaluateRoundLength(viking, seek, VideoStream(),
-                                           DefaultQos(),
-                                           plan->round_length_s - 0.05);
-  ASSERT_TRUE(shorter.ok());
-  EXPECT_LT(shorter->streams_per_disk, target);
-}
-
-TEST(RoundPlannerTest, UnreachableTargetRejected) {
-  const auto plan = MinimalRoundLengthForCapacity(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), VideoStream(),
-      DefaultQos(), /*target=*/10000);
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), common::StatusCode::kOutOfRange);
-}
-
-TEST(RoundPlannerTest, AlreadyReachableAtLowerEdge) {
-  const auto plan = MinimalRoundLengthForCapacity(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), VideoStream(),
-      DefaultQos(), /*target=*/1, /*t_lo=*/0.5, /*t_hi=*/4.0);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_DOUBLE_EQ(plan->round_length_s, 0.5);
+// Shortest swept round length whose per-disk capacity reaches `target`
+// (0 when none does).
+double ShortestRoundFor(const PlannedStream& stream, int target) {
+  const auto plans = SweepRoundLengths(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), stream,
+      DefaultQos(), {0.25, 0.5, 1.0, 2.0, 4.0, 8.0});
+  ZS_CHECK(plans.ok());
+  for (const RoundPlan& plan : *plans) {
+    if (plan.streams_per_disk >= target) return plan.round_length_s;
+  }
+  return 0.0;
 }
 
 TEST(RoundPlannerTest, HigherBandwidthNeedsLongerRounds) {
-  const disk::DiskGeometry viking = disk::QuantumViking2100();
-  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
   PlannedStream heavy = VideoStream();
   heavy.bandwidth_bps = 400e3;
-  const auto light_plan = MinimalRoundLengthForCapacity(
-      viking, seek, VideoStream(), DefaultQos(), 12);
-  const auto heavy_plan =
-      MinimalRoundLengthForCapacity(viking, seek, heavy, DefaultQos(), 12);
-  ASSERT_TRUE(light_plan.ok());
-  ASSERT_TRUE(heavy_plan.ok());
-  EXPECT_GT(heavy_plan->round_length_s, light_plan->round_length_s);
+  const double light_round = ShortestRoundFor(VideoStream(), 12);
+  const double heavy_round = ShortestRoundFor(heavy, 12);
+  ASSERT_GT(light_round, 0.0);
+  ASSERT_GT(heavy_round, 0.0);
+  EXPECT_GT(heavy_round, light_round);
 }
 
 }  // namespace

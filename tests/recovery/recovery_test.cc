@@ -18,13 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/blob.h"
 #include "common/check.h"
 #include "disk/presets.h"
 #include "fault/fault_spec.h"
 #include "numeric/random.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "recovery/blob.h"
 #include "recovery/checkpoint.h"
 #include "recovery/replay.h"
 #include "recovery/snapshot.h"
@@ -37,6 +37,9 @@ namespace zonestream::recovery {
 namespace {
 
 namespace fs = std::filesystem;
+using common::BlobReader;
+using common::BlobWriter;
+using common::Crc64;
 
 std::shared_ptr<const workload::GammaSizeDistribution> Table1Sizes() {
   return std::make_shared<workload::GammaSizeDistribution>(

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/blob.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "disk/presets.h"
@@ -30,7 +31,6 @@
 #include "numeric/random.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "recovery/blob.h"
 #include "recovery/checkpoint.h"
 #include "recovery/replay.h"
 #include "recovery/snapshot.h"
@@ -42,6 +42,8 @@ namespace zonestream::recovery {
 namespace {
 
 namespace fs = std::filesystem;
+using common::BlobReader;
+using common::BlobWriter;
 
 constexpr int kNumDisks = 2;
 constexpr int kParityNumDisks = 3;  // parity-rebuild scenario width
