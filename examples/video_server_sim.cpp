@@ -18,8 +18,8 @@
 //   --fault=SPEC         inject faults, e.g.
 //                        "slowdown:enter=0.01,exit=0.2,delay_max=0.05"
 //   --fault-disk=D       apply the spec to disk D only (default: all)
-//   --degrade=BOUND      defend this per-round glitch-rate bound by
-//                        shedding streams when it is violated
+//   --degrade=BOUND      defend this per-round glitch-rate bound, in
+//                        (0, 1), by shedding streams when it is violated
 //   --retries=R          re-issue deadline-cut fragments up to R times
 //
 // Rare-event analysis (docs/PERFORMANCE.md, "Variance reduction"):
@@ -375,7 +375,17 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--fault-disk=", 13) == 0) {
       fault_disk = std::atoi(argv[i] + 13);
     } else if (std::strncmp(argv[i], "--degrade=", 10) == 0) {
-      degrade_bound = std::atof(argv[i] + 10);
+      const char* text = argv[i] + 10;
+      char* end = nullptr;
+      const double bound = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !(bound > 0.0 && bound < 1.0)) {
+        std::fprintf(stderr,
+                     "--degrade needs a glitch-rate bound in (0, 1), got "
+                     "'%s'\n",
+                     text);
+        return 2;
+      }
+      degrade_bound = bound;
     } else if (std::strncmp(argv[i], "--retries=", 10) == 0) {
       retries = std::atoi(argv[i] + 10);
     } else if (std::strcmp(argv[i], "--parity") == 0) {
@@ -500,12 +510,7 @@ int main(int argc, char** argv) {
                 fault_disk < 0 ? "all" : std::to_string(fault_disk).c_str());
   }
   if (degrade_bound > 0.0) {
-    fault::DegradationPolicy policy;
-    policy.glitch_rate_bound = degrade_bound;
-    policy.window_rounds = 20;
-    policy.trigger_windows = 2;
-    policy.recovery_windows = 3;
-    server_config.degradation = policy;
+    server_config.degradation_bound = degrade_bound;
     std::printf("Degradation controller armed: bound %.4g/stream-round\n",
                 degrade_bound);
   }
@@ -705,11 +710,11 @@ int main(int argc, char** argv) {
         static_cast<long long>(stats.fragments_dropped),
         server->admissions_open() ? "open" : "closed");
     for (const fault::DegradationEvent& event : degradation_events) {
-      std::printf("  round %lld: %s -> %s (shed %d, window rate %.5f)\n",
+      std::printf("  round %lld: %s -> %s (shed %d, glitch rate %.5f)\n",
                   static_cast<long long>(event.round),
                   fault::DegradationStateName(event.from),
                   fault::DegradationStateName(event.to), event.shed_streams,
-                  event.window_glitch_rate);
+                  event.glitch_rate);
     }
   }
 
@@ -723,8 +728,7 @@ int main(int argc, char** argv) {
           fault::DegradationStateName(event.from) + "\",\"to\":\"" +
           fault::DegradationStateName(event.to) +
           "\",\"shed_streams\":" + std::to_string(event.shed_streams) +
-          ",\"window_glitch_rate\":" +
-          obs::JsonDouble(event.window_glitch_rate) + "}";
+          ",\"glitch_rate\":" + obs::JsonDouble(event.glitch_rate) + "}";
     }
     degradation_json += "]";
     const std::string json = "{\"schema\":\"zonestream-metrics-v1\","

@@ -4,9 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "core/admission.h"
-#include "core/service_time_model.h"
-#include "core/transfer_models.h"
 #include "obs/metrics.h"
 
 namespace zonestream::fault {
@@ -25,39 +22,34 @@ const char* DegradationStateName(DegradationState state) {
       return "normal";
     case DegradationState::kDegraded:
       return "degraded";
-    case DegradationState::kRecovering:
-      return "recovering";
   }
   return "unknown";
 }
 
-DegradationController::DegradationController(const DegradationPolicy& policy,
+DegradationController::DegradationController(double glitch_rate_bound,
                                              obs::Registry* metrics,
                                              const std::string& metric_prefix)
-    : policy_(policy) {
-  policy_.glitch_rate_bound = std::max(policy_.glitch_rate_bound, 0.0);
-  policy_.window_rounds = std::max(policy_.window_rounds, 1);
-  policy_.trigger_windows = std::max(policy_.trigger_windows, 1);
-  policy_.recovery_windows = std::max(policy_.recovery_windows, 1);
-  policy_.recovery_margin =
-      std::clamp(policy_.recovery_margin, 0.0, 1.0);
-  policy_.min_streams = std::max(policy_.min_streams, 0);
-  policy_.max_shed_fraction = std::clamp(policy_.max_shed_fraction, 0.0, 1.0);
+    : bound_(glitch_rate_bound) {
+  ZS_CHECK(bound_ > 0.0 && bound_ < 1.0);
+  // Keep the alternative below 1 for bounds at or above 1/k.
+  const double up_rate = std::min(kRateRatio * bound_, (1.0 + bound_) / 2.0);
+  const double down_rate = bound_ / kRateRatio;
+  up_glitch_ = std::log(up_rate / bound_);
+  up_clean_ = std::log1p(-up_rate) - std::log1p(-bound_);
+  down_glitch_ = std::log(down_rate / bound_);
+  down_clean_ = std::log1p(-down_rate) - std::log1p(-bound_);
   if (metrics != nullptr) {
     state_gauge_ = metrics->GetGauge(metric_prefix + ".state");
     trips_ = metrics->GetCounter(metric_prefix + ".trips");
     shed_streams_ = metrics->GetCounter(metric_prefix + ".shed_streams");
-    windows_violated_ =
-        metrics->GetCounter(metric_prefix + ".windows_violated");
     state_gauge_->Set(0.0);
   }
 }
 
-void DegradationController::Transition(DegradationState to, int shed,
-                                       double rate) {
+void DegradationController::Log(DegradationState to, int shed, double rate) {
   if (events_.size() < kMaxEvents) {
-    events_.push_back(DegradationEvent{rounds_observed_, state_, to, shed,
-                                       rate});
+    events_.push_back(
+        DegradationEvent{rounds_observed_, state_, to, shed, rate});
   }
   state_ = to;
   if (state_gauge_ != nullptr) {
@@ -65,151 +57,80 @@ void DegradationController::Transition(DegradationState to, int shed,
   }
 }
 
-int DegradationController::ShedTarget(const WindowSummary& window) const {
-  int target = -1;
-  if (policy_.rearmor) target = policy_.rearmor(window);
-  if (target < 0) {
-    // Proportional fallback: the measured rate scales roughly with the
-    // admitted load near the operating point, so keeping bound/rate of
-    // the streams is a first-order fix; the next window corrects the
-    // remainder (the §3.3 rate is super-linear in N, so this errs toward
-    // keeping too many, which the trigger edge then handles).
-    const double rate = std::max(window.glitch_rate, 1e-12);
-    target = static_cast<int>(std::floor(window.active_streams *
-                                         policy_.glitch_rate_bound / rate));
-  }
-  const int floor_streams = std::min(policy_.min_streams,
-                                     window.active_streams);
-  const int max_shed = static_cast<int>(
-      std::ceil(window.active_streams * policy_.max_shed_fraction));
-  target = std::max(target, window.active_streams - max_shed);
-  return std::clamp(target, floor_streams, window.active_streams);
+int DegradationController::ShedCount(int active_streams, double rate) const {
+  // Proportional target: the measured rate scales roughly with the
+  // admitted load near the operating point, so keeping bound/rate of the
+  // streams is a first-order fix; U re-arms and sheds again if the rest
+  // still runs over the bound.
+  const double active = static_cast<double>(active_streams);
+  double keep = std::min(active, std::floor(active * bound_ / rate));
+  keep = std::max(keep, active - std::ceil(active * kMaxShedFraction));
+  keep = std::max(keep, std::min(active, double{kMinStreams}));
+  return active_streams - static_cast<int>(keep);
 }
 
-DegradationCommand DegradationController::ObserveRound(int active_streams,
-                                                       int glitched_streams,
-                                                       bool overran) {
+void DegradationController::ResetUp() {
+  up_sum_ = 0.0;
+  excursion_stream_rounds_ = 0;
+  excursion_glitches_ = 0;
+}
+
+int DegradationController::ObserveRound(int active_streams,
+                                        int glitched_streams) {
   ZS_CHECK_GE(active_streams, 0);
   ZS_CHECK_GE(glitched_streams, 0);
+  ZS_CHECK_LE(glitched_streams, active_streams);
   ++rounds_observed_;
-  ++window_rounds_seen_;
-  window_stream_rounds_ += active_streams;
-  window_glitches_ += glitched_streams;
-  if (overran) ++window_overruns_;
-  last_active_streams_ = active_streams;
+  const double glitched = static_cast<double>(glitched_streams);
+  const double clean = static_cast<double>(active_streams - glitched_streams);
 
-  DegradationCommand command;
-  command.admissions_open = state_ != DegradationState::kDegraded;
-  if (window_rounds_seen_ < policy_.window_rounds) return command;
-
-  // Window boundary: evaluate and reset the accumulators.
-  WindowSummary window;
-  window.end_round = rounds_observed_;
-  window.rounds = window_rounds_seen_;
-  window.glitch_rate =
-      window_stream_rounds_ > 0
-          ? static_cast<double>(window_glitches_) /
-                static_cast<double>(window_stream_rounds_)
-          : 0.0;
-  window.overrun_rate = static_cast<double>(window_overruns_) /
-                        static_cast<double>(window_rounds_seen_);
-  window.active_streams = last_active_streams_;
-  window_rounds_seen_ = 0;
-  window_stream_rounds_ = 0;
-  window_glitches_ = 0;
-  window_overruns_ = 0;
-  command.window_closed = true;
-
-  const bool violating = window.glitch_rate > policy_.glitch_rate_bound;
-  const bool clean = window.glitch_rate <=
-                     policy_.recovery_margin * policy_.glitch_rate_bound;
-  if (violating && windows_violated_ != nullptr) {
-    windows_violated_->Increment();
+  up_sum_ += glitched * up_glitch_ + clean * up_clean_;
+  if (up_sum_ > 0.0) {
+    excursion_stream_rounds_ += active_streams;
+    excursion_glitches_ += glitched_streams;
+  } else {
+    ResetUp();
+  }
+  if (state_ == DegradationState::kDegraded) {
+    // D only runs while degraded: it is the evidence for reopening.
+    down_sum_ = std::max(
+        0.0, down_sum_ + glitched * down_glitch_ + clean * down_clean_);
   }
 
-  switch (state_) {
-    case DegradationState::kNormal: {
-      if (!violating) {
-        violating_windows_ = 0;
-        break;
-      }
-      if (++violating_windows_ < policy_.trigger_windows) break;
-      // Trip: shed down to the re-armored target and close admissions.
-      const int target = ShedTarget(window);
-      command.shed_streams = window.active_streams - target;
-      violating_windows_ = 0;
-      clean_windows_ = 0;
-      Transition(DegradationState::kDegraded, command.shed_streams,
-                 window.glitch_rate);
+  int shed = 0;
+  if (up_sum_ >= kThreshold) {
+    // Trip (or, already degraded, shed again) down to the proportional
+    // target; admissions stay closed. U > 0 implies a glitch since U last
+    // left 0, so the rate is positive.
+    const double rate = static_cast<double>(excursion_glitches_) /
+                        static_cast<double>(excursion_stream_rounds_);
+    shed = ShedCount(active_streams, rate);
+    if (state_ == DegradationState::kNormal) {
+      Log(DegradationState::kDegraded, shed, rate);
       if (trips_ != nullptr) trips_->Increment();
-      if (shed_streams_ != nullptr && command.shed_streams > 0) {
-        shed_streams_->Increment(command.shed_streams);
-      }
-      command.admissions_open = false;
-      break;
+      down_sum_ = 0.0;
+    } else if (shed > 0) {
+      Log(DegradationState::kDegraded, shed, rate);
     }
-    case DegradationState::kDegraded: {
-      if (violating) {
-        // Still over the bound a full window after shedding: shed again
-        // (each shed is window-spaced, which is the flap guard on the way
-        // down).
-        clean_windows_ = 0;
-        const int target = ShedTarget(window);
-        command.shed_streams = window.active_streams - target;
-        if (command.shed_streams > 0 && events_.size() < kMaxEvents) {
-          events_.push_back(DegradationEvent{
-              rounds_observed_, state_, state_, command.shed_streams,
-              window.glitch_rate});
-        }
-        if (shed_streams_ != nullptr && command.shed_streams > 0) {
-          shed_streams_->Increment(command.shed_streams);
-        }
-      } else if (clean) {
-        if (++clean_windows_ >= policy_.recovery_windows) {
-          clean_windows_ = 0;
-          Transition(DegradationState::kRecovering, 0, window.glitch_rate);
-        }
-      } else {
-        clean_windows_ = 0;
-      }
-      command.admissions_open = state_ != DegradationState::kDegraded;
-      break;
-    }
-    case DegradationState::kRecovering: {
-      if (violating) {
-        // Relapse: back to degraded immediately — no second trigger
-        // debounce on a disk already known to misbehave.
-        clean_windows_ = 0;
-        const int target = ShedTarget(window);
-        command.shed_streams = window.active_streams - target;
-        Transition(DegradationState::kDegraded, command.shed_streams,
-                   window.glitch_rate);
-        if (trips_ != nullptr) trips_->Increment();
-        if (shed_streams_ != nullptr && command.shed_streams > 0) {
-          shed_streams_->Increment(command.shed_streams);
-        }
-        command.admissions_open = false;
-      } else if (clean && ++clean_windows_ >= policy_.recovery_windows) {
-        clean_windows_ = 0;
-        Transition(DegradationState::kNormal, 0, window.glitch_rate);
-      }
-      break;
-    }
+    if (shed_streams_ != nullptr && shed > 0) shed_streams_->Increment(shed);
+    ResetUp();
+  } else if (state_ == DegradationState::kDegraded &&
+             down_sum_ >= kThreshold) {
+    Log(DegradationState::kNormal, 0, 0.0);
+    down_sum_ = 0.0;
+    ResetUp();
   }
-  return command;
+  return shed;
 }
 
 DegradationControllerState DegradationController::ExportState() const {
   DegradationControllerState state;
   state.state = state_;
   state.rounds_observed = rounds_observed_;
-  state.window_rounds_seen = window_rounds_seen_;
-  state.window_stream_rounds = window_stream_rounds_;
-  state.window_glitches = window_glitches_;
-  state.window_overruns = window_overruns_;
-  state.last_active_streams = last_active_streams_;
-  state.violating_windows = violating_windows_;
-  state.clean_windows = clean_windows_;
+  state.up_sum = up_sum_;
+  state.down_sum = down_sum_;
+  state.excursion_stream_rounds = excursion_stream_rounds_;
+  state.excursion_glitches = excursion_glitches_;
   state.events = events_;
   return state;
 }
@@ -217,60 +138,33 @@ DegradationControllerState DegradationController::ExportState() const {
 common::Status DegradationController::ImportState(
     const DegradationControllerState& state) {
   const int s = static_cast<int>(state.state);
-  if (s < 0 || s > 2) {
+  if (s < 0 || s > 1) {
     return common::Status::InvalidArgument(
-        "degradation state machine position out of range");
+        "degradation state out of range");
   }
-  if (state.rounds_observed < 0 || state.window_rounds_seen < 0 ||
-      state.window_stream_rounds < 0 || state.window_glitches < 0 ||
-      state.window_overruns < 0 || state.violating_windows < 0 ||
-      state.clean_windows < 0 ||
-      state.window_rounds_seen > state.rounds_observed) {
+  const auto valid_sum = [](double sum) {
+    return std::isfinite(sum) && sum >= 0.0;
+  };
+  if (state.rounds_observed < 0 || !valid_sum(state.up_sum) ||
+      !valid_sum(state.down_sum) || state.excursion_glitches < 0 ||
+      state.excursion_glitches > state.excursion_stream_rounds ||
+      (state.up_sum > 0.0) != (state.excursion_glitches > 0)) {
     return common::Status::InvalidArgument(
-        "degradation controller counters must be non-negative with the "
-        "open window no longer than the observed history");
+        "degradation controller sums and counters must be finite and "
+        "non-negative, with no more glitches than stream-rounds and a "
+        "glitch in every open excursion");
   }
   state_ = state.state;
   rounds_observed_ = state.rounds_observed;
-  window_rounds_seen_ = state.window_rounds_seen;
-  window_stream_rounds_ = state.window_stream_rounds;
-  window_glitches_ = state.window_glitches;
-  window_overruns_ = state.window_overruns;
-  last_active_streams_ = state.last_active_streams;
-  violating_windows_ = state.violating_windows;
-  clean_windows_ = state.clean_windows;
+  up_sum_ = state.up_sum;
+  down_sum_ = state.down_sum;
+  excursion_stream_rounds_ = state.excursion_stream_rounds;
+  excursion_glitches_ = state.excursion_glitches;
   events_ = state.events;
   if (state_gauge_ != nullptr) {
     state_gauge_->Set(static_cast<double>(static_cast<int>(state_)));
   }
   return common::Status::Ok();
-}
-
-common::StatusOr<int> RearmoredStreamLimit(
-    const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
-    double fragment_mean_bytes, double fragment_variance_bytes2,
-    double extra_delay_mean_s, double extra_delay_second_moment_s2,
-    double round_length_s, int m, int g, double epsilon) {
-  if (extra_delay_mean_s < 0.0 || extra_delay_second_moment_s2 < 0.0) {
-    return common::Status::InvalidArgument(
-        "extra-delay moments must be non-negative");
-  }
-  const double extra_variance =
-      extra_delay_second_moment_s2 - extra_delay_mean_s * extra_delay_mean_s;
-  if (extra_variance < 0.0) {
-    return common::Status::InvalidArgument(
-        "extra-delay second moment below the squared mean");
-  }
-  auto clean_transfer = core::GammaTransferModel::ForMultiZone(
-      geometry, fragment_mean_bytes, fragment_variance_bytes2);
-  if (!clean_transfer.ok()) return clean_transfer.status();
-  auto inflated = core::ServiceTimeModel::FromTransferMoments(
-      seek, geometry.cylinders(), geometry.rotation_time(),
-      clean_transfer->mean() + extra_delay_mean_s,
-      clean_transfer->variance() + extra_variance);
-  if (!inflated.ok()) return inflated.status();
-  return core::MaxStreamsByGlitchRate(*inflated, round_length_s, m, g,
-                                      epsilon);
 }
 
 }  // namespace zonestream::fault

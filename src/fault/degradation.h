@@ -5,30 +5,35 @@
 // leaves its calibrated envelope (slowdown epoch, zone dropout, failing
 // neighbor in the array), the measured glitch rate can exceed b_glitch and
 // the contract silently rots for *every* admitted stream. The
-// DegradationController restores it by shedding load: it watches the
-// measured per-stream glitch rate over fixed windows, trips after a
-// configurable number of consecutive violating windows, sheds streams down
-// to a re-armored admission limit, and only re-admits after sustained
-// clean windows — hysteresis at both edges so transient noise neither
-// trips nor flaps the controller.
+// DegradationController restores it by shedding load.
+//
+// The trip rule is a two-sided Bernoulli CUSUM over stream-rounds: each
+// round adds its n stream-rounds, x of them glitched, to two log-
+// likelihood-ratio sums, clamped at zero.
+//
+//   U tests p = b against p = k*b:  U += x ln(p1/b) + (n-x) ln((1-p1)/(1-b))
+//   D tests p = b against p = b/k:  D += x ln(1/k)  + (n-x) ln((1-b/k)/(1-b))
+//
+// with p1 = min(k*b, (1+b)/2). In kNormal, U >= h trips to kDegraded:
+// shed, close admissions, reset both sums. In kDegraded, U >= h again
+// sheds again; D, which runs only while degraded, reaching h returns to
+// kNormal and reopens admissions. The
+// reset sums are the hysteresis: each edge needs h nats of fresh
+// evidence. This judges the rate over a run of rounds rather than a
+// fixed window (the interval view of a stochastic guarantee, Xie/Jiang,
+// arXiv 0904.2018), so the bound b is the controller's only input.
 //
 // Shedding policy is the caller's (the server sheds lowest class first);
-// the controller only decides *how many* streams must go and whether
-// admissions stay open. RearmoredStreamLimit implements the re-armoring
-// arithmetic sketched in sim/round_simulator.h: fold the detected
-// disturbance's two moments into the transfer time and recompute the §3.3
-// admission limit against the inflated model.
+// the controller only decides *how many* streams must go. Admissions are
+// open exactly when the state is kNormal.
 #ifndef ZONESTREAM_FAULT_DEGRADATION_H_
 #define ZONESTREAM_FAULT_DEGRADATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "disk/disk_geometry.h"
-#include "disk/seek_model.h"
 
 namespace zonestream::obs {
 class Counter;
@@ -39,143 +44,97 @@ class Registry;
 namespace zonestream::fault {
 
 enum class DegradationState {
-  kNormal = 0,      // contract holding; admissions open
-  kDegraded = 1,    // shedding; admissions closed
-  kRecovering = 2,  // clean again; admissions open, still watched closely
+  kNormal = 0,    // contract holding; admissions open
+  kDegraded = 1,  // shedding; admissions closed
 };
 
 const char* DegradationStateName(DegradationState state);
 
-// One closed observation window, handed to the re-armoring hook.
-struct WindowSummary {
-  int64_t end_round = 0;       // round index after the window's last round
-  int64_t rounds = 0;          // rounds in the window
-  double glitch_rate = 0.0;    // glitch events / stream-rounds
-  double overrun_rate = 0.0;   // overrunning rounds / rounds
-  int active_streams = 0;      // streams at window close
-};
-
-// Decides the post-trip stream target. Returns the number of streams the
-// server should keep (clamped by the controller to [min_streams,
-// active_streams]); return a negative value to fall back to the built-in
-// proportional policy. Typically wraps RearmoredStreamLimit with the
-// disturbance moments estimated for the detected fault.
-using RearmorHook = std::function<int(const WindowSummary& window)>;
-
-struct DegradationPolicy {
-  // The §3.3 per-round glitch bound the controller defends (b_glitch for
-  // the admitted load, or g/m for a lifetime contract).
-  double glitch_rate_bound = 0.0;
-  // Observation window; the measured rate is glitches / stream-rounds.
-  int window_rounds = 20;
-  // Consecutive violating windows before the controller trips.
-  int trigger_windows = 2;
-  // Consecutive clean windows (rate <= recovery_margin * bound) required
-  // to move kDegraded -> kRecovering, and again kRecovering -> kNormal.
-  int recovery_windows = 3;
-  double recovery_margin = 0.5;
-  // Never shed below this many streams.
-  int min_streams = 1;
-  // Cap on the fraction of active streams shed by one trip.
-  double max_shed_fraction = 0.5;
-  // Optional re-armoring hook; null uses the proportional fallback
-  // target = floor(active * bound / measured_rate).
-  RearmorHook rearmor;
-};
-
-// What the server must do after one observed round.
-struct DegradationCommand {
-  int shed_streams = 0;           // close this many streams now
-  bool admissions_open = true;    // accept new streams?
-  bool window_closed = false;     // a window boundary was just evaluated
-};
-
-// State transition log entry (also exported by the example CLI).
+// Transition log entry (also exported by the example CLI). A repeated
+// shed while degraded is logged as kDegraded -> kDegraded.
 struct DegradationEvent {
   int64_t round = 0;
   DegradationState from = DegradationState::kNormal;
   DegradationState to = DegradationState::kNormal;
   int shed_streams = 0;
-  double window_glitch_rate = 0.0;
+  // Glitches / stream-rounds since U last left 0 (the CUSUM's change-
+  // point estimate of the current rate); 0 on a return to kNormal.
+  double glitch_rate = 0.0;
 };
 
-// Complete restartable state of a DegradationController: the state
-// machine position, the open window's accumulators, both hysteresis
-// counters, and the event log — everything ObserveRound consults, so a
-// restore continues the controller bit-identically mid-window.
+// Complete restartable state of a DegradationController: everything
+// ObserveRound consults, so a restore continues it bit-identically.
 struct DegradationControllerState {
   DegradationState state = DegradationState::kNormal;
   int64_t rounds_observed = 0;
-  int64_t window_rounds_seen = 0;
-  int64_t window_stream_rounds = 0;
-  int64_t window_glitches = 0;
-  int64_t window_overruns = 0;
-  int last_active_streams = 0;
-  int violating_windows = 0;
-  int clean_windows = 0;
+  double up_sum = 0.0;    // U
+  double down_sum = 0.0;  // D
+  // Stream-rounds and glitches since U last left 0.
+  int64_t excursion_stream_rounds = 0;
+  int64_t excursion_glitches = 0;
   std::vector<DegradationEvent> events;
 };
 
 // Single-threaded controller; drive it from the server's round loop.
 class DegradationController {
  public:
-  // `metrics` (optional, not owned) receives "<prefix>.state" (gauge),
-  // "<prefix>.trips", "<prefix>.shed_streams", "<prefix>.windows_violated"
-  // counters. Policy is validated: invalid values are clamped to sane
-  // minima rather than rejected (the controller must never be the crash).
+  // Detection ratio k: U looks for p = k*b, D for p = b/k.
+  static constexpr double kRateRatio = 2.0;
+  // Decision threshold h in nats, shared by both sums. At b = 1e-4 with
+  // 116 streams the mean run length at p = b is ~4.5e5 rounds and the
+  // mean delay at 10*b is ~105 rounds (docs/FAULTS.md).
+  static constexpr double kThreshold = 7.0;
+  // A shed never keeps fewer than this many streams ...
+  static constexpr int kMinStreams = 1;
+  // ... nor closes more than this fraction of the active streams.
+  static constexpr double kMaxShedFraction = 0.5;
+
+  // `glitch_rate_bound` is the §3.3 per-round glitch bound b the
+  // controller defends (b_glitch for the admitted load, or g/m for a
+  // lifetime contract); it must lie in (0, 1). `metrics` (optional, not
+  // owned) receives "<prefix>.state" (gauge, 0 normal / 1 degraded),
+  // "<prefix>.trips" and "<prefix>.shed_streams" (counters).
   explicit DegradationController(
-      const DegradationPolicy& policy, obs::Registry* metrics = nullptr,
+      double glitch_rate_bound, obs::Registry* metrics = nullptr,
       const std::string& metric_prefix = "server.degradation");
 
-  // Feeds one round's observation; returns what the server must do.
-  DegradationCommand ObserveRound(int active_streams, int glitched_streams,
-                                  bool overran);
+  // Feeds one round's observation (0 <= glitched_streams <=
+  // active_streams); returns how many streams the server must close now.
+  int ObserveRound(int active_streams, int glitched_streams);
 
   DegradationState state() const { return state_; }
   const std::vector<DegradationEvent>& events() const { return events_; }
-  int64_t rounds_observed() const { return rounds_observed_; }
-  const DegradationPolicy& policy() const { return policy_; }
 
   // Checkpoint support: restoring an exported state onto a controller
-  // built from the same policy continues it bit-identically (the policy
-  // itself — including the rearmor hook — is reconstructed, not saved).
+  // built with the same bound continues it bit-identically.
   DegradationControllerState ExportState() const;
   common::Status ImportState(const DegradationControllerState& state);
 
  private:
-  void Transition(DegradationState to, int shed, double rate);
-  int ShedTarget(const WindowSummary& window) const;
+  void Log(DegradationState to, int shed, double rate);
+  // Streams to close now: active - clamp(floor(active * b / rate)).
+  int ShedCount(int active_streams, double rate) const;
+  void ResetUp();
 
-  DegradationPolicy policy_;
+  double bound_;
+  // Per-stream-round CUSUM increments, fixed by the bound.
+  double up_glitch_ = 0.0;
+  double up_clean_ = 0.0;
+  double down_glitch_ = 0.0;
+  double down_clean_ = 0.0;
+
   DegradationState state_ = DegradationState::kNormal;
   int64_t rounds_observed_ = 0;
-  // Open window accumulators.
-  int64_t window_rounds_seen_ = 0;
-  int64_t window_stream_rounds_ = 0;
-  int64_t window_glitches_ = 0;
-  int64_t window_overruns_ = 0;
-  int last_active_streams_ = 0;
-  // Consecutive window counters for the hysteresis edges.
-  int violating_windows_ = 0;
-  int clean_windows_ = 0;
+  double up_sum_ = 0.0;
+  double down_sum_ = 0.0;
+  int64_t excursion_stream_rounds_ = 0;
+  int64_t excursion_glitches_ = 0;
   std::vector<DegradationEvent> events_;
   // Metric handles (null when disabled).
   obs::Gauge* state_gauge_ = nullptr;
   obs::Counter* trips_ = nullptr;
   obs::Counter* shed_streams_ = nullptr;
-  obs::Counter* windows_violated_ = nullptr;
 };
-
-// Re-armored per-disk admission limit: folds an extra per-request delay
-// with the given mean and second moment into the multi-zone transfer time
-// (exactly the moment-inflation recipe of the DisturbanceRobustness tests)
-// and recomputes the §3.3.6 limit max{N : p_error(N, t, m, g) <= epsilon}.
-// Returns 0 when even one stream violates the inflated contract.
-common::StatusOr<int> RearmoredStreamLimit(
-    const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
-    double fragment_mean_bytes, double fragment_variance_bytes2,
-    double extra_delay_mean_s, double extra_delay_second_moment_s2,
-    double round_length_s, int m, int g, double epsilon);
 
 }  // namespace zonestream::fault
 

@@ -90,26 +90,23 @@ void EncodeDegradation(const fault::DegradationControllerState& state,
                        BlobWriter* out) {
   out->PutU8(static_cast<uint8_t>(state.state));
   out->PutI64(state.rounds_observed);
-  out->PutI64(state.window_rounds_seen);
-  out->PutI64(state.window_stream_rounds);
-  out->PutI64(state.window_glitches);
-  out->PutI64(state.window_overruns);
-  out->PutI64(state.last_active_streams);
-  out->PutI64(state.violating_windows);
-  out->PutI64(state.clean_windows);
+  out->PutF64(state.up_sum);
+  out->PutF64(state.down_sum);
+  out->PutI64(state.excursion_stream_rounds);
+  out->PutI64(state.excursion_glitches);
   out->PutU64(state.events.size());
   for (const fault::DegradationEvent& event : state.events) {
     out->PutI64(event.round);
     out->PutU8(static_cast<uint8_t>(event.from));
     out->PutU8(static_cast<uint8_t>(event.to));
     out->PutI64(event.shed_streams);
-    out->PutF64(event.window_glitch_rate);
+    out->PutF64(event.glitch_rate);
   }
 }
 
 fault::DegradationState DecodeDegradationState(BlobReader* in) {
   const uint8_t value = in->TakeU8();
-  if (value > 2) in->Fail();
+  if (value > 1) in->Fail();
   return static_cast<fault::DegradationState>(value);
 }
 
@@ -117,13 +114,10 @@ fault::DegradationControllerState DecodeDegradation(BlobReader* in) {
   fault::DegradationControllerState state;
   state.state = DecodeDegradationState(in);
   state.rounds_observed = in->TakeI64();
-  state.window_rounds_seen = in->TakeI64();
-  state.window_stream_rounds = in->TakeI64();
-  state.window_glitches = in->TakeI64();
-  state.window_overruns = in->TakeI64();
-  state.last_active_streams = static_cast<int>(in->TakeI64());
-  state.violating_windows = static_cast<int>(in->TakeI64());
-  state.clean_windows = static_cast<int>(in->TakeI64());
+  state.up_sum = in->TakeF64();
+  state.down_sum = in->TakeF64();
+  state.excursion_stream_rounds = in->TakeI64();
+  state.excursion_glitches = in->TakeI64();
   uint64_t events = in->TakeU64();
   // Each event is 26 bytes; cap the claim by what the payload holds.
   if (events > in->remaining() / 26) in->Fail();
@@ -135,7 +129,7 @@ fault::DegradationControllerState DecodeDegradation(BlobReader* in) {
     event.from = DecodeDegradationState(in);
     event.to = DecodeDegradationState(in);
     event.shed_streams = static_cast<int>(in->TakeI64());
-    event.window_glitch_rate = in->TakeF64();
+    event.glitch_rate = in->TakeF64();
     state.events.push_back(event);
   }
   return state;
@@ -170,7 +164,6 @@ void EncodeServer(const server::MediaServerState& state, BlobWriter* out) {
   }
   out->PutBool(state.has_degradation);
   if (state.has_degradation) EncodeDegradation(state.degradation, out);
-  out->PutBool(state.admissions_open);
   out->PutI64(state.fragments_served);
   out->PutI64(state.total_glitches);
   out->PutI64(state.fragments_retried);
@@ -242,7 +235,6 @@ server::MediaServerState DecodeServer(BlobReader* in) {
   }
   state.has_degradation = in->TakeBool();
   if (state.has_degradation) state.degradation = DecodeDegradation(in);
-  state.admissions_open = in->TakeBool();
   state.fragments_served = in->TakeI64();
   state.total_glitches = in->TakeI64();
   state.fragments_retried = in->TakeI64();

@@ -51,8 +51,15 @@ namespace zonestream::recovery {
 //       service::EncodeAdmissionServiceState encoding, so the daemon's
 //       live Digest() and the snapshot section digest agree by
 //       construction. Older versions are rejected per the v1 precedent.
+//   4 — the server section's degradation controller state is the CUSUM
+//       layout: state byte (0 normal, 1 degraded), rounds observed, the
+//       up and down sums as f64, the excursion stream-rounds and
+//       glitches; events carry the change-point glitch-rate estimate.
+//       The server's admissions-open flag is gone: it is derived from
+//       the controller state. Version-3 files are rejected per the v1
+//       precedent.
 inline constexpr std::string_view kSnapshotMagic{"ZSNAPv1\0", 8};
-inline constexpr uint32_t kSnapshotVersion = 3;
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 // Informational header — never consulted by restore logic, but lets
 // `zonestream_ctl snapshot inspect` describe a file without the config

@@ -134,9 +134,9 @@ MediaServer::MediaServer(
     repair_ =
         std::make_unique<RepairController>(*config_.repair, config_.metrics);
   }
-  if (config_.degradation.has_value()) {
+  if (config_.degradation_bound.has_value()) {
     degradation_ = std::make_unique<fault::DegradationController>(
-        *config_.degradation, config_.metrics, "server.degradation");
+        *config_.degradation_bound, config_.metrics, "server.degradation");
   }
 }
 
@@ -166,6 +166,11 @@ common::StatusOr<MediaServer> MediaServer::Create(
   if (config.parity && config.num_disks < 2) {
     return common::Status::InvalidArgument(
         "parity striping needs at least 2 disks");
+  }
+  if (config.degradation_bound.has_value() &&
+      !(*config.degradation_bound > 0.0 && *config.degradation_bound < 1.0)) {
+    return common::Status::InvalidArgument(
+        "degradation_bound must lie in (0, 1)");
   }
   if (config.degraded_per_disk_stream_limit < 0) {
     return common::Status::InvalidArgument(
@@ -218,7 +223,7 @@ common::StatusOr<int> MediaServer::OpenStream(
     return common::Status::InvalidArgument(
         "priority_class must be non-negative");
   }
-  if (!admissions_open_) {
+  if (!admissions_open()) {
     if (metrics_) metrics_->rejected_degraded->Increment();
     return common::Status::ResourceExhausted(
         "admission control: server is degraded, admissions closed");
@@ -456,7 +461,6 @@ void MediaServer::RunRound() {
 
   // Serve every disk's batch with its own SCAN sweep.
   int round_glitches = 0;  // stream *fragments* judged late this round
-  bool round_overran = false;
   int repair_reads_late = 0;
   for (int d = 0; d < config_.num_disks; ++d) {
     DiskBatch& batch = batches[d];
@@ -567,7 +571,6 @@ void MediaServer::RunRound() {
         fragments_served_++;
       }
     }
-    if (service_time_s > config_.round_length_s) round_overran = true;
     arm_cylinder_[d] = sweep.final_arm_cylinder;
     ascending_[d] = !ascending_[d];
     if (disk_repair_reads > 0 && metrics_) {
@@ -673,10 +676,8 @@ void MediaServer::RunRound() {
   // carry out its orders. Runs after round_ advances so shed streams drop
   // out starting with the next round's batches.
   if (degradation_ != nullptr) {
-    const fault::DegradationCommand command = degradation_->ObserveRound(
-        active_at_start, round_glitches, round_overran);
-    admissions_open_ = command.admissions_open;
-    if (command.shed_streams > 0) ShedStreams(command.shed_streams);
+    const int shed = degradation_->ObserveRound(active_at_start, round_glitches);
+    if (shed > 0) ShedStreams(shed);
   }
 }
 
@@ -808,7 +809,6 @@ MediaServerState MediaServer::ExportState() const {
   }
   state.has_degradation = degradation_ != nullptr;
   if (degradation_ != nullptr) state.degradation = degradation_->ExportState();
-  state.admissions_open = admissions_open_;
   state.fragments_served = fragments_served_;
   state.total_glitches = total_glitches_;
   state.fragments_retried = fragments_retried_;
@@ -979,7 +979,6 @@ common::Status MediaServer::RestoreState(
   for (const uint8_t ascending : state.ascending) {
     ascending_.push_back(ascending != 0);
   }
-  admissions_open_ = state.admissions_open;
   fragments_served_ = state.fragments_served;
   total_glitches_ = state.total_glitches;
   fragments_retried_ = state.fragments_retried;

@@ -62,11 +62,12 @@ struct MediaServerConfig {
   int fault_disk = -1;
 
   // Graceful degradation (fault/degradation.h). When set, a
-  // DegradationController watches the measured per-stream glitch rate
-  // each round; on sustained violation it closes admissions and sheds
-  // streams (lowest priority_class first, newest first within a class)
-  // until the §3.3 bound holds again, with hysteresis at both edges.
-  std::optional<fault::DegradationPolicy> degradation;
+  // DegradationController defends this per-stream-round glitch-rate
+  // bound, which must lie in (0, 1): when its CUSUM finds the rate above
+  // the bound it closes admissions and sheds streams (lowest
+  // priority_class first, newest first within a class), and it reopens
+  // once the rate is back under the bound.
+  std::optional<double> degradation_bound;
 
   // Bounded retry of fragments cut at the round deadline: a glitched
   // fragment is re-issued (same size, fresh position) in the stream's
@@ -176,7 +177,6 @@ struct MediaServerState {
   std::vector<fault::FaultInjectorState> fault_injectors;
   bool has_degradation = false;
   fault::DegradationControllerState degradation;
-  bool admissions_open = true;
   int64_t fragments_served = 0;
   int64_t total_glitches = 0;
   int64_t fragments_retried = 0;
@@ -292,10 +292,12 @@ class MediaServer {
 
   // Degradation surface. With no controller configured, the state is
   // kNormal, the event log empty, and admissions always open.
-  bool admissions_open() const { return admissions_open_; }
   fault::DegradationState degradation_state() const {
     return degradation_ != nullptr ? degradation_->state()
                                    : fault::DegradationState::kNormal;
+  }
+  bool admissions_open() const {
+    return degradation_state() == fault::DegradationState::kNormal;
   }
   std::vector<fault::DegradationEvent> degradation_events() const {
     return degradation_ != nullptr ? degradation_->events()
@@ -395,7 +397,6 @@ class MediaServer {
   // Fault & degradation machinery (empty / null when not configured).
   std::vector<std::unique_ptr<fault::FaultInjector>> fault_injectors_;
   std::unique_ptr<fault::DegradationController> degradation_;
-  bool admissions_open_ = true;
   // Parity/repair machinery. A disk whose spare_active_ flag is set has
   // been rebuilt onto its hot spare: its injector keeps ticking (so
   // snapshots keep their shape) but no longer affects service.

@@ -2,245 +2,256 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <cmath>
+#include <limits>
 
-#include "core/admission.h"
-#include "core/service_time_model.h"
-#include "disk/presets.h"
+#include "numeric/random.h"
 #include "obs/metrics.h"
 
 namespace zonestream::fault {
 namespace {
 
-// window_rounds=2, trip after 2 violating windows, recover after 2 clean
-// windows at half the bound — small numbers so every edge is reachable in
-// a few ObserveRound calls.
-DegradationPolicy TestPolicy() {
-  DegradationPolicy policy;
-  policy.glitch_rate_bound = 0.05;
-  policy.window_rounds = 2;
-  policy.trigger_windows = 2;
-  policy.recovery_windows = 2;
-  policy.recovery_margin = 0.5;
-  policy.min_streams = 1;
-  policy.max_shed_fraction = 0.5;
-  return policy;
+// A large bound keeps every edge reachable in tens of rounds: with 10
+// streams and one glitch a round (rate 0.1 = 2b), U gains
+// ln 2 + 9 ln(0.9/0.95) ~ 0.206 nats a round.
+constexpr double kBound = 0.05;
+
+// Feeds `rounds` identical rounds; returns the total shed order.
+int Feed(DegradationController* controller, int rounds, int active,
+         int glitched) {
+  int shed = 0;
+  for (int r = 0; r < rounds; ++r) {
+    shed += controller->ObserveRound(active, glitched);
+  }
+  return shed;
 }
 
-// Feeds `windows` whole windows with a fixed per-round observation.
-DegradationCommand FeedWindows(DegradationController* controller,
-                               int windows, int active, int glitched,
-                               bool overran = false) {
-  DegradationCommand last;
-  for (int w = 0; w < windows; ++w) {
-    for (int r = 0; r < controller->policy().window_rounds; ++r) {
-      last = controller->ObserveRound(active, glitched, overran);
-    }
+// Feeds identical rounds until the state changes or a shed is ordered;
+// returns the number of rounds fed and stores the shed order in `shed`.
+int RoundsUntilAction(DegradationController* controller, int active,
+                      int glitched, int* shed = nullptr) {
+  const DegradationState start = controller->state();
+  int order = 0;
+  int r = 0;
+  while (order == 0 && controller->state() == start && r < 100000) {
+    order = controller->ObserveRound(active, glitched);
+    ++r;
   }
-  return last;
+  if (shed != nullptr) *shed = order;
+  return r;
+}
+
+// Rounds of i.i.d. Binomial(streams, p) glitches until the first trip,
+// or `limit` if the controller never trips.
+int64_t RoundsToTrip(double bound, int streams, double p, uint64_t seed,
+                     int64_t limit) {
+  DegradationController controller(bound);
+  numeric::Rng rng(seed);
+  for (int64_t r = 1; r <= limit; ++r) {
+    int glitched = 0;
+    for (int s = 0; s < streams; ++s) glitched += rng.Uniform01() < p;
+    controller.ObserveRound(streams, glitched);
+    if (controller.state() == DegradationState::kDegraded) return r;
+  }
+  return limit;
 }
 
 TEST(DegradationStateNameTest, NamesAllStates) {
   EXPECT_STREQ(DegradationStateName(DegradationState::kNormal), "normal");
   EXPECT_STREQ(DegradationStateName(DegradationState::kDegraded),
                "degraded");
-  EXPECT_STREQ(DegradationStateName(DegradationState::kRecovering),
-               "recovering");
 }
 
 TEST(DegradationControllerTest, StaysNormalUnderCleanLoad) {
-  DegradationController controller(TestPolicy());
-  const DegradationCommand command =
-      FeedWindows(&controller, 10, /*active=*/20, /*glitched=*/0);
+  DegradationController controller(kBound);
+  EXPECT_EQ(Feed(&controller, 10000, /*active=*/20, /*glitched=*/0), 0);
   EXPECT_EQ(controller.state(), DegradationState::kNormal);
-  EXPECT_EQ(command.shed_streams, 0);
-  EXPECT_TRUE(command.admissions_open);
   EXPECT_TRUE(controller.events().empty());
+  EXPECT_EQ(controller.ExportState().up_sum, 0.0);
 }
 
 TEST(DegradationControllerTest, TripsOnlyAfterConsecutiveViolations) {
-  DegradationController controller(TestPolicy());
-  // rate = 1/10 = 0.1 > bound 0.05: violating, but one window is not
-  // enough to trip.
-  FeedWindows(&controller, 1, /*active=*/10, /*glitched=*/1);
+  DegradationController controller(kBound);
+  // 20 rounds at twice the bound (~4.1 nats) are not enough evidence.
+  Feed(&controller, 20, /*active=*/10, /*glitched=*/1);
   EXPECT_EQ(controller.state(), DegradationState::kNormal);
-  // A clean window in between resets the trigger debounce.
-  FeedWindows(&controller, 1, 10, 0);
-  FeedWindows(&controller, 1, 10, 1);
+  EXPECT_GT(controller.ExportState().up_sum, 0.0);
+  // Clean rounds drain U back to 0, so the next run starts afresh.
+  Feed(&controller, 10, 10, 0);
+  EXPECT_EQ(controller.ExportState().up_sum, 0.0);
+  Feed(&controller, 20, 10, 1);
   EXPECT_EQ(controller.state(), DegradationState::kNormal);
-  // Second *consecutive* violating window trips.
-  const DegradationCommand command = FeedWindows(&controller, 1, 10, 1);
+  // A sustained run trips once U reaches h: ceil(7 / 0.206) = 34 rounds.
+  int shed = 0;
+  EXPECT_EQ(20 + RoundsUntilAction(&controller, 10, 1, &shed), 34);
   EXPECT_EQ(controller.state(), DegradationState::kDegraded);
-  EXPECT_FALSE(command.admissions_open);
-  // Proportional fallback: keep floor(10 * 0.05 / 0.1) = 5, shed 5.
-  EXPECT_EQ(command.shed_streams, 5);
+  // Proportional target: keep floor(10 * 0.05 / 0.1) = 5, shed 5.
+  EXPECT_EQ(shed, 5);
   ASSERT_EQ(controller.events().size(), 1u);
   EXPECT_EQ(controller.events()[0].from, DegradationState::kNormal);
   EXPECT_EQ(controller.events()[0].to, DegradationState::kDegraded);
   EXPECT_EQ(controller.events()[0].shed_streams, 5);
+  EXPECT_DOUBLE_EQ(controller.events()[0].glitch_rate, 0.1);
+  // The trip resets the sums.
+  EXPECT_EQ(controller.ExportState().up_sum, 0.0);
+  EXPECT_EQ(controller.ExportState().excursion_stream_rounds, 0);
 }
 
-TEST(DegradationControllerTest, RecoversThroughRecoveringWithHysteresis) {
-  DegradationController controller(TestPolicy());
-  FeedWindows(&controller, 2, 10, 1);  // trip
+TEST(DegradationControllerTest, RecoversWithHysteresis) {
+  DegradationController controller(kBound);
+  RoundsUntilAction(&controller, 10, 1);  // trip, keep 5
   ASSERT_EQ(controller.state(), DegradationState::kDegraded);
-  // One clean window is not enough (recovery_windows = 2).
-  FeedWindows(&controller, 1, 5, 0);
-  EXPECT_EQ(controller.state(), DegradationState::kDegraded);
-  // A mid-band window (above margin*bound, below bound) resets the clean
-  // streak: rate = 2/50 = 0.04 vs band (0.025, 0.05].
-  FeedWindows(&controller, 1, 25, 1);
-  FeedWindows(&controller, 1, 5, 0);
-  EXPECT_EQ(controller.state(), DegradationState::kDegraded);
-  DegradationCommand command = FeedWindows(&controller, 1, 5, 0);
-  EXPECT_EQ(controller.state(), DegradationState::kRecovering);
-  EXPECT_TRUE(command.admissions_open);
-  // Two more clean windows finish the recovery.
-  command = FeedWindows(&controller, 2, 5, 0);
+  // Each clean stream-round adds ln((1 - b/2) / (1 - b)) to D, so 5 clean
+  // streams reopen after ceil(h / (5 * that)) rounds.
+  const int expected = static_cast<int>(std::ceil(
+      DegradationController::kThreshold /
+      (5 * std::log((1 - kBound / 2) / (1 - kBound)))));
+  EXPECT_EQ(RoundsUntilAction(&controller, 5, 0), expected);
   EXPECT_EQ(controller.state(), DegradationState::kNormal);
-  EXPECT_TRUE(command.admissions_open);
+  // A glitch on the way home costs D ln 2, delaying the reopen.
+  RoundsUntilAction(&controller, 10, 1);  // trip again
+  Feed(&controller, expected - 1, 5, 0);
+  Feed(&controller, 1, 5, 1);
+  EXPECT_EQ(controller.state(), DegradationState::kDegraded);
+  EXPECT_GT(RoundsUntilAction(&controller, 5, 0), 1);
+  EXPECT_EQ(controller.state(), DegradationState::kNormal);
 }
 
-TEST(DegradationControllerTest, RelapseFromRecoveringTripsImmediately) {
+TEST(DegradationControllerTest, RelapseAfterRecoveryNeedsFreshEvidence) {
   obs::Registry metrics;
-  DegradationController controller(TestPolicy(), &metrics, "t.deg");
-  FeedWindows(&controller, 2, 10, 1);  // trip
-  FeedWindows(&controller, 2, 5, 0);   // -> recovering
-  ASSERT_EQ(controller.state(), DegradationState::kRecovering);
-  // A single violating window relapses — no trigger_windows debounce.
-  const DegradationCommand command = FeedWindows(&controller, 1, 5, 1);
+  DegradationController controller(kBound, &metrics, "t.deg");
+  const int first = RoundsUntilAction(&controller, 10, 1);
+  RoundsUntilAction(&controller, 5, 0);  // -> normal
+  ASSERT_EQ(controller.state(), DegradationState::kNormal);
+  EXPECT_EQ(metrics.GetGauge("t.deg.state")->value(), 0.0);
+  // Both sums were reset on the way home, so a relapse needs the same
+  // evidence as the first trip.
+  int shed = 0;
+  EXPECT_EQ(RoundsUntilAction(&controller, 10, 1, &shed), first);
   EXPECT_EQ(controller.state(), DegradationState::kDegraded);
-  EXPECT_FALSE(command.admissions_open);
-  EXPECT_GT(command.shed_streams, 0);
+  EXPECT_GT(shed, 0);
   EXPECT_EQ(metrics.GetCounter("t.deg.trips")->value(), 2);
   EXPECT_EQ(metrics.GetGauge("t.deg.state")->value(), 1.0);
 }
 
 TEST(DegradationControllerTest, KeepsSheddingWhileDegradedAndViolating) {
-  DegradationController controller(TestPolicy());
-  FeedWindows(&controller, 2, 10, 1);  // trip, shed to 5
-  // Still violating a full window later: shed again from the new level.
-  const DegradationCommand command = FeedWindows(&controller, 1, 5, 1);
+  DegradationController controller(kBound);
+  RoundsUntilAction(&controller, 10, 1);  // trip, shed to 5
+  // Still over the bound: U re-arms and sheds again from the new level.
+  int shed = 0;
+  RoundsUntilAction(&controller, 5, 1, &shed);
   EXPECT_EQ(controller.state(), DegradationState::kDegraded);
-  // rate = 2/10 = 0.2; proportional target floor(5 * 0.05/0.2) = 1, but
-  // max_shed_fraction = 0.5 caps the shed at ceil(5 * 0.5) = 3.
-  EXPECT_EQ(command.shed_streams, 3);
+  // rate = 0.2; proportional target floor(5 * 0.05 / 0.2) = 1, but
+  // kMaxShedFraction caps the shed at ceil(5 * 0.5) = 3.
+  EXPECT_EQ(shed, 3);
+  ASSERT_EQ(controller.events().size(), 2u);
+  EXPECT_EQ(controller.events()[1].from, DegradationState::kDegraded);
+  EXPECT_EQ(controller.events()[1].to, DegradationState::kDegraded);
+  EXPECT_DOUBLE_EQ(controller.events()[1].glitch_rate, 0.2);
 }
 
 TEST(DegradationControllerTest, ShedRespectsMinStreamsFloor) {
-  DegradationPolicy policy = TestPolicy();
-  policy.min_streams = 4;
-  policy.max_shed_fraction = 1.0;  // the floor is the only guard
-  policy.rearmor = [](const WindowSummary&) { return 0; };
-  DegradationController controller(policy);
-  const DegradationCommand command = FeedWindows(&controller, 2, 10, 1);
-  EXPECT_EQ(command.shed_streams, 6);  // kept 4, never below min_streams
+  DegradationController controller(kBound);
+  // A lone stream glitching every round trips, but is never shed.
+  int shed = -1;
+  RoundsUntilAction(&controller, 1, 1, &shed);
+  EXPECT_EQ(controller.state(), DegradationState::kDegraded);
+  EXPECT_EQ(shed, 0);
+  ASSERT_EQ(controller.events().size(), 1u);
+  EXPECT_EQ(controller.events()[0].shed_streams, 0);
 }
 
-TEST(DegradationControllerTest, RearmorHookOverridesProportionalTarget) {
-  DegradationPolicy policy = TestPolicy();
-  policy.max_shed_fraction = 1.0;
-  WindowSummary seen;
-  policy.rearmor = [&seen](const WindowSummary& window) {
-    seen = window;
-    return 7;
-  };
-  DegradationController controller(policy);
-  const DegradationCommand command =
-      FeedWindows(&controller, 2, /*active=*/10, /*glitched=*/1,
-                  /*overran=*/true);
-  EXPECT_EQ(command.shed_streams, 3);  // 10 - hook target 7
-  EXPECT_EQ(seen.active_streams, 10);
-  EXPECT_EQ(seen.rounds, 2);
-  EXPECT_DOUBLE_EQ(seen.glitch_rate, 0.1);
-  EXPECT_DOUBLE_EQ(seen.overrun_rate, 1.0);
+TEST(DegradationControllerTest, ShedTargetIsProportionalToExcursionRate) {
+  DegradationController controller(kBound);
+  // A long clean history keeps U at 0 and must not dilute the estimate.
+  Feed(&controller, 1000, 40, 0);
+  int shed = 0;
+  RoundsUntilAction(&controller, 40, 3, &shed);
+  // rate = 3/40 = 0.075: keep floor(40 * 0.05 / 0.075) = 26, shed 14.
+  EXPECT_EQ(shed, 14);
+  EXPECT_DOUBLE_EQ(controller.events()[0].glitch_rate, 0.075);
 }
 
-TEST(DegradationControllerTest, NegativeHookResultFallsBackToProportional) {
-  DegradationPolicy policy = TestPolicy();
-  policy.rearmor = [](const WindowSummary&) { return -1; };
-  DegradationController controller(policy);
-  const DegradationCommand command = FeedWindows(&controller, 2, 10, 1);
-  EXPECT_EQ(command.shed_streams, 5);  // same as the no-hook fallback
+TEST(DegradationControllerTest, ZeroActiveStreamsRoundIsNeutral) {
+  DegradationController controller(kBound);
+  Feed(&controller, 3, 0, 0);
+  EXPECT_EQ(controller.state(), DegradationState::kNormal);
+  Feed(&controller, 10, 10, 1);
+  const DegradationControllerState before = controller.ExportState();
+  ASSERT_GT(before.up_sum, 0.0);
+  Feed(&controller, 100, 0, 0);
+  const DegradationControllerState after = controller.ExportState();
+  EXPECT_EQ(after.rounds_observed, before.rounds_observed + 100);
+  EXPECT_EQ(after.up_sum, before.up_sum);
+  EXPECT_EQ(after.excursion_stream_rounds, before.excursion_stream_rounds);
+  EXPECT_EQ(after.excursion_glitches, before.excursion_glitches);
 }
 
 TEST(DegradationControllerTest, ClampsNonsensicalPolicyInsteadOfCrashing) {
-  DegradationPolicy policy;
-  policy.glitch_rate_bound = -1.0;
-  policy.window_rounds = 0;
-  policy.trigger_windows = -3;
-  policy.recovery_windows = 0;
-  policy.recovery_margin = 7.0;
-  policy.max_shed_fraction = -2.0;
-  DegradationController controller(policy);
-  EXPECT_EQ(controller.policy().window_rounds, 1);
-  EXPECT_EQ(controller.policy().trigger_windows, 1);
-  EXPECT_EQ(controller.policy().recovery_windows, 1);
-  EXPECT_EQ(controller.policy().recovery_margin, 1.0);
-  EXPECT_EQ(controller.policy().max_shed_fraction, 0.0);
-  // bound 0 + max_shed_fraction 0: every window violates but nothing can
-  // be shed; the controller must still run without crashing.
-  const DegradationCommand command =
-      controller.ObserveRound(/*active_streams=*/3, /*glitched_streams=*/1,
-                              /*overran=*/false);
-  EXPECT_EQ(controller.state(), DegradationState::kDegraded);
-  EXPECT_EQ(command.shed_streams, 0);
+  // k * b = 1.8 would be no rate at all; p1 = (1 + b) / 2 stands in.
+  DegradationController near_one(0.9);
+  int shed = -1;
+  EXPECT_LT(RoundsUntilAction(&near_one, 4, 4, &shed), 1000);
+  EXPECT_EQ(near_one.state(), DegradationState::kDegraded);
+  EXPECT_TRUE(std::isfinite(near_one.ExportState().down_sum));
+  // rate 1: keep floor(4 * 0.9) = 3.
+  EXPECT_EQ(shed, 1);
+  // Every stream glitching every round asks to keep floor(10 * b) = 0;
+  // the shed is capped at kMaxShedFraction of the active streams.
+  DegradationController saturated(kBound);
+  RoundsUntilAction(&saturated, 10, 10, &shed);
+  EXPECT_EQ(saturated.state(), DegradationState::kDegraded);
+  EXPECT_EQ(shed, 5);
 }
 
-TEST(DegradationControllerTest, ZeroActiveStreamsWindowCountsAsClean) {
-  DegradationController controller(TestPolicy());
-  const DegradationCommand command = FeedWindows(&controller, 3, 0, 0);
-  EXPECT_EQ(controller.state(), DegradationState::kNormal);
-  EXPECT_TRUE(command.window_closed);
+TEST(DegradationControllerTest, ImportRejectsCorruptState) {
+  DegradationController controller(kBound);
+  const DegradationControllerState good = controller.ExportState();
+  DegradationControllerState bad = good;
+  bad.state = static_cast<DegradationState>(2);
+  EXPECT_FALSE(controller.ImportState(bad).ok());
+  bad = good;
+  bad.up_sum = -1.0;
+  EXPECT_FALSE(controller.ImportState(bad).ok());
+  bad = good;
+  bad.down_sum = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(controller.ImportState(bad).ok());
+  bad = good;
+  bad.up_sum = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(controller.ImportState(bad).ok());
+  bad = good;
+  bad.rounds_observed = -1;
+  EXPECT_FALSE(controller.ImportState(bad).ok());
+  bad = good;
+  bad.excursion_glitches = 3;
+  bad.excursion_stream_rounds = 2;
+  EXPECT_FALSE(controller.ImportState(bad).ok());
+  bad = good;
+  bad.up_sum = 1.0;  // evidence with no glitch behind it
+  EXPECT_FALSE(controller.ImportState(bad).ok());
+  EXPECT_TRUE(controller.ImportState(good).ok());
 }
 
-// --- RearmoredStreamLimit --------------------------------------------------
+// --- Calibration at the video_server_sim operating point ---------------
+// 116 streams defending b = 1e-4. Each feed is seeded, so the counts
+// below are exact for this generator.
 
-TEST(RearmoredStreamLimitTest, ZeroExtraDelayMatchesCleanAdmission) {
-  const disk::DiskGeometry geometry = disk::QuantumViking2100();
-  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
-  constexpr double kMean = 200e3;
-  constexpr double kVariance = 1e10;
-  auto clean_model =
-      core::ServiceTimeModel::ForMultiZoneDisk(geometry, seek, kMean,
-                                               kVariance);
-  ASSERT_TRUE(clean_model.ok());
-  const int clean_limit = core::MaxStreamsByGlitchRate(
-      *clean_model, /*t=*/1.0, /*m=*/1200, /*g=*/3, /*epsilon=*/1e-6);
-  auto rearmored = RearmoredStreamLimit(
-      geometry, seek, kMean, kVariance, /*extra_delay_mean_s=*/0.0,
-      /*extra_delay_second_moment_s2=*/0.0, /*round_length_s=*/1.0,
-      /*m=*/1200, /*g=*/3, /*epsilon=*/1e-6);
-  ASSERT_TRUE(rearmored.ok());
-  EXPECT_EQ(*rearmored, clean_limit);
-  EXPECT_GT(*rearmored, 0);
+TEST(DegradationCalibrationTest, CleanFeedBelowBoundNeverTrips) {
+  // The observed clean rate of a 20k-round video_server_sim run.
+  EXPECT_EQ(RoundsToTrip(1e-4, 116, 5.8e-5, /*seed=*/1, 100000), 100000);
 }
 
-TEST(RearmoredStreamLimitTest, ExtraDelayShrinksTheLimit) {
-  const disk::DiskGeometry geometry = disk::QuantumViking2100();
-  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
-  auto clean = RearmoredStreamLimit(geometry, seek, 200e3, 1e10, 0.0, 0.0,
-                                    1.0, 1200, 3, 1e-6);
-  // A 20 ms mean disturbance with matching spread costs real streams.
-  auto inflated = RearmoredStreamLimit(geometry, seek, 200e3, 1e10, 0.02,
-                                       0.02 * 0.02 + 1e-4, 1.0, 1200, 3,
-                                       1e-6);
-  ASSERT_TRUE(clean.ok());
-  ASSERT_TRUE(inflated.ok());
-  EXPECT_LT(*inflated, *clean);
-  EXPECT_GE(*inflated, 0);
+TEST(DegradationCalibrationTest, TenTimesBoundTripsWithinDocumentedDelay) {
+  // docs/FAULTS.md: mean delay ~105 rounds at 10 b, p99 ~200.
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    EXPECT_LE(RoundsToTrip(1e-4, 116, 1e-3, seed, 100000), 300) << seed;
+  }
 }
 
-TEST(RearmoredStreamLimitTest, RejectsInconsistentMoments) {
-  const disk::DiskGeometry geometry = disk::QuantumViking2100();
-  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
-  EXPECT_FALSE(RearmoredStreamLimit(geometry, seek, 200e3, 1e10, -0.01,
-                                    0.01, 1.0, 1200, 3, 1e-6)
-                   .ok());
-  // Second moment below the squared mean implies negative variance.
-  EXPECT_FALSE(RearmoredStreamLimit(geometry, seek, 200e3, 1e10, 0.1, 0.001,
-                                    1.0, 1200, 3, 1e-6)
-                   .ok());
+TEST(DegradationCalibrationTest, HundredTimesBoundTripsWithinTwentyRounds) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    EXPECT_LE(RoundsToTrip(1e-4, 116, 1e-2, seed, 100000), 20) << seed;
+  }
 }
 
 }  // namespace

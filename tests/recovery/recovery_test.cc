@@ -322,19 +322,40 @@ TEST(SnapshotTest, RejectsBadMagic) {
 }
 
 TEST(SnapshotTest, RejectsWrongVersionWithSpecificError) {
-  // Craft a container with version 99 and a *valid* checksum, so the
-  // version check itself is what fires.
-  BlobWriter writer;
-  for (char c : kSnapshotMagic) writer.PutU8(static_cast<uint8_t>(c));
-  writer.PutU32(99);
-  writer.PutU32(0);  // no sections
-  std::string bytes = writer.Release();
-  BlobWriter crc;
-  crc.PutU64(Crc64(bytes));
-  bytes += crc.data();
-  const auto decoded = DecodeSnapshot(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
+  // Craft containers with other versions and a *valid* checksum, so the
+  // version check itself is what fires. Version 3 is the layout before
+  // the CUSUM degradation state; its server section would misparse.
+  for (const uint32_t version : {3u, 99u}) {
+    BlobWriter writer;
+    for (char c : kSnapshotMagic) writer.PutU8(static_cast<uint8_t>(c));
+    writer.PutU32(version);
+    writer.PutU32(0);  // no sections
+    std::string bytes = writer.Release();
+    BlobWriter crc;
+    crc.PutU64(Crc64(bytes));
+    bytes += crc.data();
+    const auto decoded = DecodeSnapshot(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_NE(decoded.status().message().find("unsupported snapshot version"),
+              std::string::npos)
+        << version;
+  }
+}
+
+TEST(SnapshotTest, RejectsDegradationStateOutOfRange) {
+  Snapshot snapshot = MetaOnlySnapshot();
+  snapshot.server.emplace().has_degradation = true;
+  snapshot.server->degradation.state = fault::DegradationState::kDegraded;
+  ASSERT_TRUE(DecodeSnapshot(EncodeSnapshot(snapshot)).ok());
+  // Only 0 (normal) and 1 (degraded) exist since version 4.
+  snapshot.server->degradation.state =
+      static_cast<fault::DegradationState>(2);
+  EXPECT_FALSE(DecodeSnapshot(EncodeSnapshot(snapshot)).ok());
+  snapshot.server->degradation.state = fault::DegradationState::kNormal;
+  snapshot.server->degradation.events.push_back(
+      {5, fault::DegradationState::kNormal,
+       static_cast<fault::DegradationState>(2), 0, 0.0});
+  EXPECT_FALSE(DecodeSnapshot(EncodeSnapshot(snapshot)).ok());
 }
 
 TEST(SnapshotTest, RejectsEveryTruncation) {
@@ -542,12 +563,7 @@ server::MediaServerConfig SoakedServerConfig(obs::Registry* registry,
   ZS_CHECK(faults.ok());
   config.faults = *faults;
   config.fault_disk = 1;
-  fault::DegradationPolicy policy;
-  policy.glitch_rate_bound = 0.05;
-  policy.window_rounds = 5;
-  policy.trigger_windows = 1;
-  policy.recovery_windows = 2;
-  config.degradation = policy;
+  config.degradation_bound = 0.05;
   config.max_fragment_retries = 2;
   config.metrics = registry;
   config.trace = trace;
@@ -592,6 +608,9 @@ TEST(ServerResumeTest, BitIdenticalWithFaultsDegradationAndRetries) {
   Snapshot snapshot;
   snapshot.server = reference->ExportState();
   snapshot.registry = reference_registry.ExportState();
+  // Checkpoint mid-excursion: the CUSUM's up sum must survive the trip
+  // through the container bit for bit.
+  ASSERT_GT(snapshot.server->degradation.up_sum, 0.0);
   const auto decoded = DecodeSnapshot(EncodeSnapshot(snapshot));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
 

@@ -114,12 +114,7 @@ server::MediaServerConfig ScenarioConfig(int per_disk_limit,
     auto spec = fault::ParseFaultSpec(FaultSpecText(true));
     ZS_CHECK(spec.ok());
     config.faults = *spec;
-    fault::DegradationPolicy policy;
-    policy.glitch_rate_bound = 0.05;
-    policy.window_rounds = 5;
-    policy.trigger_windows = 1;
-    policy.recovery_windows = 2;
-    config.degradation = policy;
+    config.degradation_bound = 0.05;
     config.max_fragment_retries = 1;
   } else if (scenario == Scenario::kParityRebuild) {
     config.parity = true;

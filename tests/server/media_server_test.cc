@@ -1,5 +1,6 @@
 #include "server/media_server.h"
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -47,6 +48,19 @@ TEST(MediaServerTest, CreateValidation) {
   EXPECT_FALSE(MediaServer::Create(disk::QuantumViking2100(),
                                    disk::QuantumViking2100Seek(), config)
                    .ok());
+  // The degradation bound is a per-stream-round rate in (0, 1).
+  config.per_disk_stream_limit = 10;
+  for (const double bound : {0.0, -1e-4, 1.0, 2.0, std::nan("")}) {
+    config.degradation_bound = bound;
+    const auto server = MediaServer::Create(
+        disk::QuantumViking2100(), disk::QuantumViking2100Seek(), config);
+    ASSERT_FALSE(server.ok()) << bound;
+    EXPECT_EQ(server.status().code(), common::StatusCode::kInvalidArgument);
+  }
+  config.degradation_bound = 0.5;
+  EXPECT_TRUE(MediaServer::Create(disk::QuantumViking2100(),
+                                  disk::QuantumViking2100Seek(), config)
+                  .ok());
 }
 
 TEST(MediaServerTest, AdmissionControlEnforcesLimit) {
@@ -464,9 +478,10 @@ TEST(MediaServerFaultTest, TargetedDiskFailureOnlyHurtsThatDisk) {
 }
 
 TEST(MediaServerDegradationTest, ShedsLowestClassNewestFirst) {
-  // A hook pinning the re-armored target to 4 makes the trip shed
-  // exactly 2 streams; the victims must be the two newest class-0
-  // streams, never the class-1 ones.
+  // A 0.2 s delay on every request overloads one disk carrying 6
+  // streams, so the first trip hits the kMaxShedFraction cap and sheds
+  // exactly 3; the victims must be the three newest class-0 streams,
+  // never the class-1 ones.
   MediaServerConfig config;
   config.num_disks = 1;
   config.per_disk_stream_limit = 10;
@@ -477,34 +492,57 @@ TEST(MediaServerDegradationTest, ShedsLowestClassNewestFirst) {
   slow.force_from_round = 0;
   slow.force_until_round = int64_t{1} << 30;
   config.faults.slowdowns.push_back(slow);
-  fault::DegradationPolicy policy;
-  policy.glitch_rate_bound = 1e-3;
-  policy.window_rounds = 5;
-  policy.trigger_windows = 1;
-  policy.max_shed_fraction = 0.5;
-  policy.rearmor = [](const fault::WindowSummary&) { return 4; };
-  config.degradation = policy;
+  config.degradation_bound = 1e-3;
   auto server = MediaServer::Create(disk::QuantumViking2100(),
                                     disk::QuantumViking2100Seek(), config);
   ASSERT_TRUE(server.ok());
   std::vector<int> premium, best_effort;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     premium.push_back(*server->OpenStream(Table1Sizes(), /*priority_class=*/1));
   }
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {
     best_effort.push_back(*server->OpenStream(Table1Sizes()));
   }
-  server->RunRounds(5);  // exactly one (violating) window
+  for (int round = 0; round < 20 && server->degradation_events().empty();
+       ++round) {
+    server->RunRound();
+  }
 
   EXPECT_EQ(server->degradation_state(), fault::DegradationState::kDegraded);
-  EXPECT_EQ(server->GetServerStats().streams_shed, 2);
-  EXPECT_EQ(server->active_streams(), 4);
-  // Victims: the two newest best-effort streams. The oldest best-effort
+  EXPECT_EQ(server->GetServerStats().streams_shed, 3);
+  EXPECT_EQ(server->active_streams(), 3);
+  // Victims: the three newest best-effort streams. The oldest best-effort
   // stream and every premium stream survive.
+  EXPECT_FALSE(server->GetStreamStats(best_effort[3]).ok());
   EXPECT_FALSE(server->GetStreamStats(best_effort[2]).ok());
   EXPECT_FALSE(server->GetStreamStats(best_effort[1]).ok());
   EXPECT_TRUE(server->GetStreamStats(best_effort[0]).ok());
   for (int id : premium) EXPECT_TRUE(server->GetStreamStats(id).ok());
+}
+
+TEST(MediaServerDegradationTest, CleanRunAtSimOperatingPointNeverTrips) {
+  // The video_server_sim configuration: 4 disks at the 29-stream/disk
+  // admission limit of its content library (fragments 200.8 KB mean,
+  // 66.1 KB stddev), defending b = 1e-4. The observed rate stays below b,
+  // so a calibrated alarm must stay quiet.
+  MediaServerConfig config;
+  config.num_disks = 4;
+  config.per_disk_stream_limit = 29;
+  config.seed = 99;
+  config.degradation_bound = 1e-4;
+  auto server = MediaServer::Create(disk::QuantumViking2100(),
+                                    disk::QuantumViking2100Seek(), config);
+  ASSERT_TRUE(server.ok());
+  const auto sizes = std::make_shared<workload::GammaSizeDistribution>(
+      *workload::GammaSizeDistribution::Create(200.8e3, 66.1e3 * 66.1e3));
+  for (int i = 0; i < 116; ++i) ASSERT_TRUE(server->OpenStream(sizes).ok());
+  server->RunRounds(5000);
+  const ServerStats stats = server->GetServerStats();
+  EXPECT_GT(stats.glitches, 0);
+  EXPECT_LT(static_cast<double>(stats.glitches) / (5000.0 * 116), 1e-4);
+  EXPECT_TRUE(server->degradation_events().empty());
+  EXPECT_EQ(stats.streams_shed, 0);
+  EXPECT_EQ(server->active_streams(), 116);
 }
 
 TEST(MediaServerDegradationTest, SlowdownEpochTripsShedsAndRecovers) {
@@ -526,15 +564,8 @@ TEST(MediaServerDegradationTest, SlowdownEpochTripsShedsAndRecovers) {
   slow.force_from_round = 60;
   slow.force_until_round = 120;
   config.faults.slowdowns.push_back(slow);
-  fault::DegradationPolicy policy;
-  policy.glitch_rate_bound = 0.02;
-  policy.window_rounds = 10;
-  policy.trigger_windows = 2;
-  policy.recovery_windows = 2;
-  policy.recovery_margin = 0.5;
-  policy.min_streams = 4;
-  policy.max_shed_fraction = 0.5;
-  config.degradation = policy;
+  const double bound = 0.02;
+  config.degradation_bound = bound;
   auto server = MediaServer::Create(disk::QuantumViking2100(),
                                     disk::QuantumViking2100Seek(), config);
   ASSERT_TRUE(server.ok());
@@ -567,7 +598,7 @@ TEST(MediaServerDegradationTest, SlowdownEpochTripsShedsAndRecovers) {
   EXPECT_GT(stats.glitches, 0);
   EXPECT_GT(stats.streams_shed, 0);
   EXPECT_LT(server->active_streams(), 25);
-  EXPECT_GE(server->active_streams(), policy.min_streams);
+  EXPECT_GE(server->active_streams(), 4);
   EXPECT_TRUE(saw_closed_admissions);
   EXPECT_TRUE(rejected_while_degraded);
   EXPECT_GE(
@@ -579,7 +610,7 @@ TEST(MediaServerDegradationTest, SlowdownEpochTripsShedsAndRecovers) {
     if (event.to == fault::DegradationState::kDegraded && event.round >= 60 &&
         event.round <= 140) {
       tripped_in_epoch = true;
-      EXPECT_GT(event.window_glitch_rate, policy.glitch_rate_bound);
+      EXPECT_GT(event.glitch_rate, bound);
     }
   }
   EXPECT_TRUE(tripped_in_epoch);
@@ -591,7 +622,7 @@ TEST(MediaServerDegradationTest, SlowdownEpochTripsShedsAndRecovers) {
   const double late_glitch_rate =
       static_cast<double>(stats.glitches - glitches_at_200) /
       (100.0 * active_at_200);
-  EXPECT_LE(late_glitch_rate, policy.glitch_rate_bound);
+  EXPECT_LE(late_glitch_rate, bound);
 }
 
 TEST(MediaServerFaultTest, InertFaultConfigKeepsStatsBitIdentical) {
